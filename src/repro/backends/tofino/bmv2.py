@@ -6,6 +6,11 @@ keys, walk the tables in order mutating metadata (score accumulators /
 distance registers / tree cursor), and let the decision table emit the
 class.  Used both as the deployed model's executable form and to verify
 that generated table programs agree with the trained model.
+
+Every table operation is applied to the whole batch at once, the vector
+form a per-packet ML pipeline uses: one integer compare finds each row's
+first matching entry, and per-row metadata lives in arrays.  Results
+are bit-identical to walking the tables one row at a time.
 """
 
 from __future__ import annotations
@@ -28,47 +33,85 @@ class MatInterpreter:
     def __init__(self, pipeline: MatPipeline) -> None:
         self.pipeline = pipeline
 
-    def _predict_one(self, feature_codes: np.ndarray) -> int:
+    @staticmethod
+    def _score(table: FeatureScoreTable, codes: np.ndarray) -> np.ndarray:
+        """Per-row scores of one feature table; no matching entry adds 0."""
+        lo, hi = np.array([(e.lo, e.hi) for e in table.entries], dtype=np.int64).T
+        data = np.array([e.data for e in table.entries], dtype=np.int64)
+        keys = codes[:, table.feature_index, None]
+        hits = (keys >= lo) & (keys < hi)
+        return np.where(hits.any(axis=1)[:, None], data[hits.argmax(axis=1)], 0)
+
+    @staticmethod
+    def _advance(
+        table: TreeLevelTable, codes: np.ndarray, node: np.ndarray, leaf: np.ndarray
+    ) -> None:
+        """One tree level: move undecided rows' cursors, or decide them.
+
+        A row matches only entries of its current node, so entries are
+        grouped by node (stable, keeping table order within a node) and
+        each row tests just its own node's group.
+        """
+        grouped = sorted(table.entries, key=lambda e: e.node)
+        e_node, e_feature, e_lo, e_hi, e_next, e_leaf = np.array(
+            [(e.node, e.feature_index, e.lo, e.hi, e.next_node, e.leaf_class)
+             for e in grouped],
+            dtype=np.int64,
+        ).T
+
+        rows = np.flatnonzero(leaf < 0)  # rows decided earlier stop moving
+        cursor = node[rows]
+        start = np.searchsorted(e_node, cursor, side="left")
+        count = np.searchsorted(e_node, cursor, side="right") - start
+        found = np.full(rows.size, -1, dtype=np.int64)
+        for k in range(int(count.max(initial=0))):
+            probe = np.flatnonzero((found < 0) & (count > k))
+            entry = start[probe] + k
+            key = codes[rows[probe], e_feature[entry]]
+            matched = (e_lo[entry] <= key) & (key < e_hi[entry])
+            found[probe[matched]] = entry[matched]
+        hit = found >= 0
+        rows, entry = rows[hit], found[hit]
+        decided = e_leaf[entry] >= 0
+        leaf[rows[decided]] = e_leaf[entry[decided]]
+        node[rows[~decided]] = e_next[entry[~decided]]
+
+    def _run(self, codes: np.ndarray) -> np.ndarray:
+        n = codes.shape[0]
         scores: "np.ndarray | None" = None
-        distances: dict[int, int] = {}
-        node = 0
-        leaf_class = -1
+        distances: dict[int, list] = {}
+        node = np.zeros(n, dtype=np.int64)
+        leaf = np.full(n, -1, dtype=np.int64)
         for table in self.pipeline.match_tables:
             if isinstance(table, FeatureScoreTable):
-                entry = table.lookup(int(feature_codes[table.feature_index]))
-                if entry is None:
-                    continue  # out-of-profile value: no contribution
-                if scores is None:
-                    scores = np.zeros(table.n_classes, dtype=np.int64)
-                scores += np.asarray(entry.data, dtype=np.int64)
+                partial = self._score(table, codes)
+                scores = partial if scores is None else scores + partial
             elif isinstance(table, ClusterDistanceTable):
-                distances[table.cluster_index] = table.distance(feature_codes)
+                # Exact Python-int arithmetic: a squared key difference
+                # times a 16-bit mantissa can pass 2^63.
+                distances[table.cluster_index] = [table.distance(row) for row in codes]
             elif isinstance(table, TreeLevelTable):
-                if leaf_class >= 0:
-                    continue  # already decided at a shallower level
-                entry = table.lookup(node, feature_codes)
-                if entry is None:
-                    continue
-                if entry.leaf_class >= 0:
-                    leaf_class = entry.leaf_class
-                else:
-                    node = entry.next_node
+                self._advance(table, codes, node, leaf)
             else:
                 raise BackendError(f"unknown table type {type(table)!r}")
 
         decision = self.pipeline.decision
         if decision.kind == "argmax_score":
             if scores is None:
-                scores = np.zeros(decision.n_classes, dtype=np.int64)
+                scores = np.zeros((n, decision.n_classes), dtype=np.int64)
             if decision.bias_codes is not None:
                 scores = scores + decision.bias_codes
-            return int(np.argmax(scores))
+            return np.argmax(scores, axis=1).astype(int)
         if decision.kind == "argmin_distance":
             if not distances:
-                return 0
-            return min(distances, key=lambda k: (distances[k], k))
+                return np.zeros(n, dtype=int)
+            clusters = sorted(distances)
+            return np.array(
+                [min(clusters, key=lambda k: (distances[k][r], k)) for r in range(n)],
+                dtype=int,
+            )
         # leaf
-        return leaf_class if leaf_class >= 0 else 0
+        return np.where(leaf >= 0, leaf, 0).astype(int)
 
     def predict(self, X) -> np.ndarray:
         """Class ids (mapped through ``class_labels`` when present)."""
@@ -80,7 +123,7 @@ class MatInterpreter:
                 f"pipeline expects {self.pipeline.n_features} features, got {X.shape[1]}"
             )
         codes = np.round(X * 2**KEY_FRACTION_BITS).astype(np.int64)
-        raw = np.array([self._predict_one(row) for row in codes], dtype=int)
+        raw = self._run(codes)
         labels = self.pipeline.class_labels
         if labels is not None and self.pipeline.decision.kind != "leaf":
             return np.asarray(labels)[raw]

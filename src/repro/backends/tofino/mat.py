@@ -81,12 +81,6 @@ class FeatureScoreTable:
     def n_entries(self) -> int:
         return len(self.entries)
 
-    def lookup(self, key: int) -> "RangeEntry | None":
-        for entry in self.entries:
-            if entry.matches(key):
-                return entry
-        return None
-
 
 @dataclass
 class ClusterDistanceTable:
@@ -165,12 +159,6 @@ class TreeLevelTable:
     @property
     def n_entries(self) -> int:
         return len(self.entries)
-
-    def lookup(self, node: int, feature_codes: np.ndarray) -> "TreeEntry | None":
-        for entry in self.entries:
-            if entry.node == node and entry.lo <= int(feature_codes[entry.feature_index]) < entry.hi:
-                return entry
-        return None
 
 
 @dataclass

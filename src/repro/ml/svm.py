@@ -8,6 +8,8 @@ one-vs-rest, matching the per-class vote tables the P4 backend emits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import TrainingError
@@ -58,14 +60,18 @@ class LinearSVM:
                 idx = order[start : start + self.batch_size]
                 xb, yb = X[idx], y_signed[idx]
                 step += 1
-                lr = self.learning_rate / np.sqrt(step)
+                lr = self.learning_rate / math.sqrt(step)
                 margins = yb * (xb @ w + b)
                 active = margins < 1.0
                 grad_w = lam * w
                 grad_b = 0.0
-                if np.any(active):
-                    grad_w = grad_w - (yb[active, None] * xb[active]).mean(axis=0)
-                    grad_b = -yb[active].mean()
+                k = np.count_nonzero(active)
+                if k:
+                    if k < idx.size:
+                        xb, yb = xb[active], yb[active]
+                    # add.reduce / k is the reduction .mean() runs.
+                    grad_w = grad_w - np.add.reduce(yb[:, None] * xb, axis=0) / k
+                    grad_b = -(np.add.reduce(yb) / k)
                 w -= lr * grad_w
                 b -= lr * grad_b
         return w, b

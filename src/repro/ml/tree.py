@@ -148,13 +148,26 @@ class _BaseTree:
         return y
 
     # Inference ----------------------------------------------------------
-    def _leaf_for(self, x: np.ndarray) -> _Node:
+    def _leaves(self, X: np.ndarray):
+        """Yield ``(leaf, row indices)`` for every leaf ``X`` reaches.
+
+        Batched traversal: the whole query set is partitioned down the
+        tree instead of walked one sample at a time (the surrogate scores
+        a 256-candidate pool per BO iteration).
+        """
         if self.root is None:
             raise TrainingError("tree used before fit()")
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
+        stack = [(self.root, np.arange(X.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if idx.size == 0:
+                continue
+            if node.is_leaf:
+                yield node, idx
+                continue
+            mask = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[mask]))
+            stack.append((node.right, idx[~mask]))
 
     @property
     def depth(self) -> int:
@@ -272,9 +285,8 @@ class DecisionTreeClassifier(_BaseTree):
         """Per-class probabilities: leaf class counts, normalized."""
         X = np.asarray(X, dtype=float)
         out = np.zeros((X.shape[0], len(self.classes_)))
-        for i, x in enumerate(X):
-            counts = self._leaf_for(x).value
-            out[i] = counts / counts.sum()
+        for leaf, idx in self._leaves(X):
+            out[idx] = leaf.value / leaf.value.sum()
         return out
 
     def predict(self, X) -> np.ndarray:
@@ -346,22 +358,8 @@ class DecisionTreeRegressor(_BaseTree):
 
     def predict(self, X) -> np.ndarray:
         """Leaf-mean regression value for every row of ``X``."""
-        # Batched traversal: partition the whole query set down the tree
-        # instead of walking it one sample at a time (the surrogate
-        # scores a 256-candidate pool per BO iteration).
         X = np.asarray(X, dtype=float)
-        if self.root is None:
-            raise TrainingError("tree used before fit()")
         out = np.empty(X.shape[0])
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.value[0]
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+        for leaf, idx in self._leaves(X):
+            out[idx] = leaf.value[0]
         return out

@@ -57,3 +57,32 @@ class TestVectorizedClassifierSplit:
         assert np.array_equal(fast.predict(grid), slow.predict(grid))
         assert fast.n_nodes == slow.n_nodes
         assert fast.depth == slow.depth
+
+
+def reference_proba(clf, X):
+    """Walk each row to its leaf and normalise that leaf's class counts."""
+    out = np.zeros((X.shape[0], len(clf.classes_)))
+    for i, x in enumerate(X):
+        node = clf.root
+        while not node.is_leaf:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        out[i] = node.value / node.value.sum()
+    return out
+
+
+class TestBatchedPredictProba:
+    @pytest.mark.parametrize("trial", range(8))
+    def test_identical_to_per_row_walk(self, trial):
+        rng = np.random.default_rng(100 + trial)
+        n = int(rng.integers(30, 200))
+        d = int(rng.integers(1, 6))
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, int(rng.integers(2, 5)), size=n)
+        clf = DecisionTreeClassifier(max_depth=int(rng.integers(1, 7)), seed=trial)
+        clf.fit(X, y)
+        query = np.vstack([rng.normal(size=(int(rng.integers(1, 50)), d)), X[:3]])
+        query[0, 0] = np.nan  # NaN fails every <= test: goes right
+        got = clf.predict_proba(query)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, reference_proba(clf, query))
+        assert clf.predict_proba(query[:0]).shape == (0, len(clf.classes_))

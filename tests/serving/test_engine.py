@@ -251,7 +251,14 @@ class TestDrainAndCancel:
                         await asyncio.sleep(0)
 
             task = asyncio.create_task(engine.run(endless()))
-            await asyncio.sleep(0.15)
+            # Cancel once the first batch is recorded, not after a fixed
+            # window: a free-running source keeps the event loop busy
+            # until every stage queue is full (~18k packets here), and
+            # only then do the executor threads get the GIL back to
+            # finish a predict.  How long that takes depends on the host.
+            deadline = time.monotonic() + 30.0
+            while engine.stats.packets == 0 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
