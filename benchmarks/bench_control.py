@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import os
 import sys
 
@@ -68,9 +67,10 @@ from repro.control import (
 from repro.datasets import load_botnet
 from repro.datasets.botnet import flow_label, generate_botnet_flows
 from repro.eval.baselines import train_baseline_dnn
+from repro.netsim import interleave_flows
 from repro.obs import get_registry, parse_prometheus
 from repro.runtime import FlowmarkerTracker
-from repro.serving import AsyncStreamEngine, TimedPipeline
+from repro.serving import AsyncStreamEngine, TimedPipeline, loop_replay
 
 BATCH_SIZE = 32
 MAX_LATENCY_US = 5000.0
@@ -92,40 +92,6 @@ def train_pipeline(name: str, n_train_flows: int, seed: int):
     return TaurusBackend().compile_model(net, scaler=scaler, name=name)
 
 
-def build_trace(n_flows: int, seed: int):
-    flows = generate_botnet_flows(n_flows, seed=seed)
-    tagged = sorted(
-        ((p.timestamp, p, flow_label(f)) for f in flows for p in f),
-        key=lambda item: item[0],
-    )
-    packets = [item[1] for item in tagged]
-    labels = [item[2] for item in tagged]
-    return packets, labels
-
-
-async def looping_traffic(packets, labels, stop: asyncio.Event):
-    """Replay the trace in a loop at ~RATE_PPS, timestamps kept monotonic."""
-    span = (packets[-1].timestamp - packets[0].timestamp + 1.0
-            if len(packets) > 1 else 1.0)
-    chunk = max(1, int(RATE_PPS // 100))
-    pause = chunk / RATE_PPS
-    lap = 0
-    while not stop.is_set():
-        shift = lap * span
-        sent = 0
-        for packet, label in zip(packets, labels):
-            if stop.is_set():
-                return
-            if shift:
-                packet = dataclasses.replace(
-                    packet, timestamp=packet.timestamp + shift)
-            yield (packet, label)
-            sent += 1
-            if sent % chunk == 0:
-                await asyncio.sleep(pause)
-        lap += 1
-
-
 async def run_bench(args, lines: list, failures: list,
                     obs_summary: dict) -> dict:
     n_workers = 2 if args.smoke else 3
@@ -135,7 +101,8 @@ async def run_bench(args, lines: list, failures: list,
     v0 = train_pipeline("bd-v0", n_train, seed=13)
     v1 = train_pipeline("bd-v1", n_train, seed=29)
     v_slow = TimedPipeline(v1, per_batch_s=SLOW_PER_BATCH_S)
-    packets, labels = build_trace(n_flows, seed=99)
+    packets, labels = interleave_flows(
+        generate_botnet_flows(n_flows, seed=99), flow_label)
 
     stop = asyncio.Event()
     workers = []
@@ -154,7 +121,7 @@ async def run_bench(args, lines: list, failures: list,
 
     for worker in workers:
         worker.attach(asyncio.create_task(
-            worker.engine.run(looping_traffic(packets, labels, stop)),
+            worker.engine.run(loop_replay(packets, labels, RATE_PPS, stop)),
             name=f"bench-{worker.name}",
         ))
     server = ControlServer(controller)

@@ -53,6 +53,7 @@ from repro.fabric import (
     deploy_plan,
     plan_fabric,
 )
+from repro.netsim import interleave_flows
 
 
 def build_spec(smoke: bool, leaf_resources: "dict | None" = None,
@@ -161,9 +162,8 @@ def gate_placement(spec: FabricSpec, smoke: bool) -> dict:
 def gate_deploy(spec: FabricSpec, smoke: bool) -> dict:
     """Gate 3: gated rollout upgrades everything, drops nothing."""
     plan = plan_fabric(spec)
-    flows = generate_botnet_flows(30 if smoke else 60, seed=1234)
-    packets = sorted((p for f in flows for p in f),
-                     key=lambda p: p.timestamp)
+    packets, _ = interleave_flows(
+        generate_botnet_flows(30 if smoke else 60, seed=1234))
     t0 = time.time()
     rollout = deploy_plan(plan, packets, rate=6000.0)
     wall = time.time() - t0

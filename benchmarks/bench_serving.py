@@ -51,6 +51,7 @@ from repro.backends.taurus import TaurusBackend
 from repro.datasets import load_botnet
 from repro.datasets.botnet import flow_label, generate_botnet_flows
 from repro.eval.baselines import train_baseline_dnn
+from repro.netsim import interleave_flows
 from repro.runtime import FlowmarkerTracker, StreamProcessor
 from repro.serving import AsyncStreamEngine, TimedPipeline, replay
 
@@ -75,15 +76,8 @@ def build_workload(n_train_flows: int, n_stream_flows: int, seed: int = 13):
                           seed=seed, per_packet_test=False)
     net, scaler = train_baseline_dnn("bd", dataset, seed=0)
     pipeline = TaurusBackend().compile_model(net, scaler=scaler, name="bd")
-    flows = generate_botnet_flows(n_stream_flows, seed=99)
-    tagged = []
-    for flow in flows:
-        label = flow_label(flow)
-        for packet in flow:
-            tagged.append((packet.timestamp, packet, label))
-    tagged.sort(key=lambda item: item[0])
-    packets = [item[1] for item in tagged]
-    labels = [item[2] for item in tagged]
+    packets, labels = interleave_flows(
+        generate_botnet_flows(n_stream_flows, seed=99), flow_label)
     return pipeline, packets, labels
 
 

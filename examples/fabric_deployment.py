@@ -47,6 +47,7 @@ from repro.fabric import (
     ingress_tier,
     plan_fabric,
 )
+from repro.netsim import interleave_flows
 
 
 def build_spec() -> FabricSpec:
@@ -92,9 +93,7 @@ def main() -> None:
           f"({len(plan.to_json())} bytes)")
 
     print("\n== topology-aware routing over a replayed trace ==")
-    flows = generate_botnet_flows(40, seed=1234)
-    packets = sorted((p for f in flows for p in f),
-                     key=lambda p: p.timestamp)
+    packets, _ = interleave_flows(generate_botnet_flows(40, seed=1234))
     by_tier: dict = {}
     for packet in packets:
         tier = ingress_tier(spec.topology, packet)

@@ -22,6 +22,7 @@ from repro.alchemy import DataLoader, Model, Platforms
 from repro.core.export import export_report
 from repro.datasets import load_botnet
 from repro.datasets.botnet import flow_label, generate_botnet_flows
+from repro.netsim import interleave_flows
 from repro.runtime import FlowmarkerTracker
 from repro.serving import AsyncStreamEngine
 
@@ -76,14 +77,7 @@ evaluator = ModelEvaluator(
 _, pipeline, _ = evaluator.rebuild(best.best_config)
 
 flows = generate_botnet_flows(200, seed=SEED + 1234)
-tagged = []
-for flow in flows:
-    label = flow_label(flow)
-    for packet in flow:
-        tagged.append((packet.timestamp, packet, label))
-tagged.sort(key=lambda item: item[0])
-packets = [item[1] for item in tagged]
-labels = [item[2] for item in tagged]
+packets, labels = interleave_flows(flows, flow_label)
 
 tracker = FlowmarkerTracker(max_conversations=1024)
 engine = AsyncStreamEngine(

@@ -35,14 +35,12 @@ Speculative evaluations that never get used stay in the cache — a later
 round (or a later search sharing the cache) may still claim them.
 
 When the replay *diverges* (the real ``suggest`` asks for a config the
-plan did not prefetch), the original engine paid for the true config
-inline on an idle pool and threw the rest of the round away.  With
-``respeculate`` (the default) the divergence instead refills the pool:
-the true config is submitted together with a fresh believer batch
-planned by a new fork over the history-to-be (true history plus a
-surrogate stand-in for the in-flight config).  Those entries land in
-the cache where the next planning round's replay can hit them, which
-roughly doubles the speculative hit rate — without touching the live
+plan did not prefetch), the divergence refills the pool instead of
+paying for the true config inline while the workers idle: the true
+config is submitted together with a fresh believer batch planned by a
+new fork over the history-to-be (true history plus a surrogate stand-in
+for the in-flight config).  Those entries land in the cache where the
+next planning round's replay can hit them, without touching the live
 optimizer's RNG, so the trajectory stays bit-identical.
 
 Worker seeding
@@ -141,12 +139,6 @@ class ParallelEvaluator:
         ``"thread"`` (default; right for numpy-heavy or I/O-bound
         objectives) or ``"process"`` (for pure-Python CPU-bound
         objectives; requires a picklable objective).
-    respeculate:
-        when the replay diverges from the plan, submit the true config
-        to the pool alongside a freshly planned believer batch instead
-        of evaluating it inline (default ``True``; ``False`` restores
-        the discard-the-round behaviour).  Never changes the history —
-        only how often prefetches hit.
     warmup / candidate_pool / xi / dedupe / seed:
         forwarded to the underlying :class:`BayesianOptimizer`.
     """
@@ -164,7 +156,6 @@ class ParallelEvaluator:
         seed: "int | np.random.Generator | None" = None,
         cache: "EvaluationCache | None" = None,
         executor: str = "thread",
-        respeculate: bool = True,
     ) -> None:
         if n_workers < 1:
             raise DesignSpaceError(f"n_workers must be >= 1, got {n_workers}")
@@ -177,7 +168,6 @@ class ParallelEvaluator:
         self.objective_fn = objective_fn
         self.cache = cache if cache is not None else EvaluationCache()
         self.executor = executor
-        self.respeculate = bool(respeculate)
         self._seed_root = _worker_seed_root(seed)
         self.optimizer = BayesianOptimizer(
             space,
@@ -301,21 +291,11 @@ class ParallelEvaluator:
                     # Diverged: evaluate the true suggestion, then re-plan
                     # from the longer history.
                     self.stats["replans"] += 1
-                    if self.respeculate:
-                        self._respeculate(
-                            pool, opt, result, seen, config,
-                            min(self.batch_size - 1, budget - len(result) - 1),
-                        )
-                        evaluation = self.cache.get(config)
-                    else:
-                        outcome = (
-                            _eval_with_span(self.objective_fn, config)
-                            if self._traced else self.objective_fn(config)
-                        )
-                        evaluation = coerce_evaluation(config, outcome)
-                        self.stats["evaluated"] += 1
-                        self.cache.put(config, evaluation)
-                    self._append(result, seen, config, evaluation)
+                    self._respeculate(
+                        pool, opt, result, seen, config,
+                        min(self.batch_size - 1, budget - len(result) - 1),
+                    )
+                    self._append(result, seen, config, self.cache.get(config))
                     break
         if self._traced:
             events = get_registry().counter(

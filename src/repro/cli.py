@@ -57,7 +57,6 @@ from repro.backends.registry import available_backends, resolve_backend_name
 from repro.core.export import export_report
 from repro.datasets import load_botnet, load_csv_dataset, load_iot
 from repro.distrib.launchers import LAUNCHERS
-from repro.distrib.scheduler import GRANULARITIES
 from repro.distrib.runspec import APP_LOADERS
 from repro.serving import DROP_POLICIES
 
@@ -136,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
              "algorithm family, best kept (sharded runs only)",
     )
     parser.add_argument(
-        "--granularity", default=None, choices=sorted(GRANULARITIES),
-        help="distribution grain: 'unit' posts one task per BO loop "
-             "(self-balancing, cheap retries; the default), 'shard' "
-             "pre-groups units into --shards tasks",
-    )
-    parser.add_argument(
         "--max-retries", type=int, default=0,
         help="re-post a failed task this many times (attempt-suffixed "
              "names) before aborting; surviving results are always kept",
@@ -204,34 +197,22 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serve_packet_dataset(n_train_flows: int, n_test_flows: int, seed: int):
-    """Per-packet header features labeled botnet/benign (the serve-mode
-    AD task: same stream the BD route sees, packet-level features)."""
-    import numpy as np
+def _serve_extractor(name: str):
+    """The packet-feature extractor a serve route of app ``name`` needs."""
+    from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
 
-    from repro.datasets.base import Dataset
-    from repro.datasets.botnet import flow_label, generate_botnet_flows
-    from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
-
-    def split(n_flows: int, split_seed: int):
-        flows = generate_botnet_flows(n_flows, seed=split_seed)
-        rows = [packet_features(p) for f in flows for p in f]
-        labels = [flow_label(f) for f in flows for _ in f]
-        return np.stack(rows), np.array(labels, dtype=int)
-
-    train_x, train_y = split(n_train_flows, seed)
-    test_x, test_y = split(n_test_flows, seed + 1)
-    return Dataset(
-        train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y,
-        feature_names=PACKET_FEATURE_NAMES, name="ad-packet",
-    )
+    if name == "bd":
+        return FlowmarkerTracker(max_conversations=4096)
+    return PacketFeatureExtractor()
 
 
 def _build_serve_routes(names: list, seed: int) -> list:
     """Train + compile one baseline pipeline per requested application."""
+    import dataclasses
+
     from repro.backends.taurus import TaurusBackend
+    from repro.drift.scenario import packet_dataset
     from repro.eval.baselines import train_baseline_dnn
-    from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
 
     backend = TaurusBackend()
     specs = []
@@ -241,18 +222,19 @@ def _build_serve_routes(names: list, seed: int) -> list:
                 n_train_flows=150, n_test_flows=2, seed=seed + 13,
                 per_packet_test=False,
             )
-            extractor = FlowmarkerTracker(max_conversations=4096)
         elif name == "tc":
             dataset = load_iot(seed=seed + 11)
-            extractor = PacketFeatureExtractor()
         elif name == "ad":
-            dataset = _serve_packet_dataset(150, 40, seed + 7)
-            extractor = PacketFeatureExtractor()
+            # Per-packet header features of the botnet stream the bd
+            # route sees: the serve-mode AD task.
+            dataset = dataclasses.replace(
+                packet_dataset(150, 40, seed=seed + 7),
+                name="ad-packet", metadata={})
         else:
             raise ValueError(name)
         net, scaler = train_baseline_dnn(name, dataset, seed=seed)
         pipeline = backend.compile_model(net, scaler=scaler, name=name)
-        specs.append((name, pipeline, extractor))
+        specs.append((name, pipeline, _serve_extractor(name)))
     return specs
 
 
@@ -287,7 +269,7 @@ def serve_main(argv: "list | None" = None) -> int:
         print("error: duplicate pipeline names", file=sys.stderr)
         return 2
     for flag, value, minimum in [
-        ("--flows", args.flows, 1),
+        ("--flows", args.flows, 2),
         ("--batch-size", args.batch_size, 1),
         ("--queue-depth", args.queue_depth, 1),
         ("--infer-workers", args.infer_workers, 1),
@@ -313,6 +295,7 @@ def serve_main(argv: "list | None" = None) -> int:
         return 2
 
     from repro.datasets.botnet import flow_label, generate_botnet_flows
+    from repro.netsim import interleave_flows
     from repro.serving import AsyncStreamEngine, PipelineRouter, Route, TimedPipeline
 
     print(f"training baseline pipelines: {', '.join(names)} ...")
@@ -340,16 +323,10 @@ def serve_main(argv: "list | None" = None) -> int:
             f"{route.name}={route.weight}" for route in routes))
 
     flows = generate_botnet_flows(args.flows, seed=args.seed + 1234)
-    tagged = []
-    for flow in flows:
-        label = flow_label(flow)
-        for packet in flow:
-            # ad and bd are labeled by the stream; tc classifies device
-            # classes this capture has no ground truth for.
-            tagged.append((packet.timestamp, packet, {"ad": label, "bd": label}))
-    tagged.sort(key=lambda item: item[0])
-    packets = [item[1] for item in tagged]
-    labels = [item[2] for item in tagged]
+    # ad and bd are labeled by the stream; tc classifies device classes
+    # this capture has no ground truth for.
+    packets, labels = interleave_flows(
+        flows, lambda flow: dict.fromkeys(("ad", "bd"), flow_label(flow)))
     span = packets[-1].timestamp - packets[0].timestamp if len(packets) > 1 else 0.0
     if args.speed > 0:
         pacing = (f"{args.speed:g}x pacing, ~{span / args.speed:.0f} s "
@@ -483,62 +460,24 @@ def _control_serve(args) -> int:
     import asyncio
 
     from repro.control import ControlServer, FleetController, FleetWorker
-    from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
-    from repro.serving import AsyncStreamEngine
-
-    def make_extractor():
-        if args.app == "bd":
-            return FlowmarkerTracker(max_conversations=4096)
-        return PacketFeatureExtractor()
+    from repro.datasets.botnet import flow_label, generate_botnet_flows
+    from repro.netsim import interleave_flows
+    from repro.serving import AsyncStreamEngine, loop_replay
 
     print(f"training {args.app} pipelines (v0 + candidate v1) ...")
     (_, v0, _), = _build_serve_routes([args.app], args.seed)
     (_, v1, _), = _build_serve_routes([args.app], args.seed + 1)
 
-    from repro.datasets.botnet import flow_label, generate_botnet_flows
-
     flows = generate_botnet_flows(args.flows, seed=args.seed + 1234)
-    tagged = sorted(
-        ((p.timestamp, p, flow_label(f)) for f in flows for p in f),
-        key=lambda item: item[0],
-    )
-    packets = [item[1] for item in tagged]
-    labels = [item[2] if args.app in ("ad", "bd") else None for item in tagged]
-
-    import dataclasses
-
-    span = (packets[-1].timestamp - packets[0].timestamp + 1.0
-            if len(packets) > 1 else 1.0)
-
-    async def traffic(stop: "asyncio.Event"):
-        # Loop the trace forever at ~args.rate packets/s: emit in small
-        # chunks with a sleep sized to the chunk, so pacing holds without
-        # a per-packet timer.  Each lap shifts timestamps by the trace
-        # span so stateful extractors see a monotonic stream.
-        chunk = max(1, int(args.rate // 100) or 1)
-        pause = chunk / args.rate
-        lap = 0
-        while not stop.is_set():
-            shift = lap * span
-            sent = 0
-            for packet, label in zip(packets, labels):
-                if stop.is_set():
-                    return
-                if shift:
-                    packet = dataclasses.replace(
-                        packet, timestamp=packet.timestamp + shift)
-                yield (packet, label)
-                sent += 1
-                if sent % chunk == 0:
-                    await asyncio.sleep(pause)
-            lap += 1
+    packets, labels = interleave_flows(
+        flows, flow_label if args.app in ("ad", "bd") else None)
 
     async def serve() -> None:
         stop = asyncio.Event()
         workers = []
         for index in range(args.workers):
             engine = AsyncStreamEngine(
-                v0, make_extractor(),
+                v0, _serve_extractor(args.app),
                 batch_size=args.batch_size,
                 max_latency=args.max_latency_us * 1e-6,
                 queue_depth=args.queue_depth,
@@ -550,7 +489,8 @@ def _control_serve(args) -> int:
         controller.register_pipeline("v1", v1)
         for worker in workers:
             worker.attach(asyncio.create_task(
-                worker.engine.run(traffic(stop)),
+                worker.engine.run(
+                    loop_replay(packets, labels, args.rate, stop)),
                 name=f"fleet-{worker.name}",
             ))
         server = ControlServer(controller, host=args.host, port=args.port)
@@ -659,7 +599,7 @@ def control_main(argv: "list | None" = None) -> int:
     if action == "serve":
         for flag, value, minimum in [
             ("--workers", args.workers, 1),
-            ("--flows", args.flows, 1),
+            ("--flows", args.flows, 2),
             ("--batch-size", args.batch_size, 1),
             ("--queue-depth", args.queue_depth, 1),
         ]:
@@ -1098,7 +1038,7 @@ def _sharded_main(args) -> int:
     launcher = make_launcher(launcher_name, **launcher_kwargs)
     out = run_sharded(
         spec, shards=args.shards, launcher=launcher, shard_dir=args.shard_dir,
-        granularity=args.granularity or "unit", max_retries=args.max_retries,
+        max_retries=args.max_retries,
     )
     print(out.summary())
     _dump_sharded_obs(out, args.shard_dir)
@@ -1127,8 +1067,6 @@ def build_fabric_parser(action: str) -> argparse.ArgumentParser:
         parser.add_argument("--launcher", default=None,
                             choices=sorted(LAUNCHERS))
         parser.add_argument("--shard-dir", default=None)
-        parser.add_argument("--granularity", default=None,
-                            choices=sorted(GRANULARITIES))
         parser.add_argument("--max-retries", type=int, default=0)
     elif action == "report":
         parser.add_argument("--plan", required=True, help="plan JSON path")
@@ -1191,9 +1129,7 @@ def fabric_main(argv: "list | None" = None) -> int:
             try:
                 plan = plan_fabric(
                     spec, shards=args.shards, launcher=args.launcher,
-                    shard_dir=args.shard_dir,
-                    granularity=args.granularity or "unit",
-                    max_retries=args.max_retries,
+                    shard_dir=args.shard_dir, max_retries=args.max_retries,
                 )
             except PlacementError as exc:
                 print(f"infeasible: {exc}", file=sys.stderr)
@@ -1217,16 +1153,20 @@ def fabric_main(argv: "list | None" = None) -> int:
             return 0
 
         # deploy
+        if args.flows < 2 or args.rate <= 0:
+            print("error: --flows must be >= 2 and --rate > 0",
+                  file=sys.stderr)
+            return 2
         try:
             plan = FabricPlan.load(args.plan)
         except (FabricError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         from repro.datasets.botnet import generate_botnet_flows
+        from repro.netsim import interleave_flows
 
         flows = generate_botnet_flows(args.flows, seed=args.seed + 1234)
-        packets = sorted((p for f in flows for p in f),
-                         key=lambda p: p.timestamp)
+        packets, _ = interleave_flows(flows)
         print(f"deploying {len(plan.devices)} placement(s) over "
               f"{len(packets)} replayed packets ...")
         try:
@@ -1291,7 +1231,7 @@ def main(argv: "list | None" = None) -> int:
         print("error: --max-retries must be >= 0", file=sys.stderr)
         return 2
     if (args.shards > 1 or args.starts > 1 or args.launcher or args.shard_dir
-            or args.granularity or args.max_retries > 0):
+            or args.max_retries > 0):
         return _sharded_main(args)
 
     if args.app:

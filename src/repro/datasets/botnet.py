@@ -120,6 +120,18 @@ def generate_botnet_flows(
     seed: "int | np.random.Generator | None" = 13,
 ) -> list[Flow]:
     """Generate labeled flows: ``flow.label`` is the profile name."""
+    return sample_flows(BOTNET_PROFILES, n_flows, botnet_fraction, seed)
+
+
+def sample_flows(
+    botnet_profiles: tuple,
+    n_flows: int,
+    botnet_fraction: float,
+    seed: "int | np.random.Generator | None",
+) -> list[Flow]:
+    """Flows drawn from ``botnet_profiles`` (with probability
+    ``botnet_fraction``) or :data:`BENIGN_PROFILES`, then a uniform
+    profile within the class — the mix behind every botnet capture."""
     if n_flows < 2:
         raise DatasetError("need at least two flows")
     if not 0.0 < botnet_fraction < 1.0:
@@ -128,7 +140,7 @@ def generate_botnet_flows(
     flows = []
     for _ in range(n_flows):
         if rng.random() < botnet_fraction:
-            profile = BOTNET_PROFILES[int(rng.integers(len(BOTNET_PROFILES)))]
+            profile = botnet_profiles[int(rng.integers(len(botnet_profiles)))]
         else:
             profile = BENIGN_PROFILES[int(rng.integers(len(BENIGN_PROFILES)))]
         flows.append(generate_flow(profile, seed=rng))

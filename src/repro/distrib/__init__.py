@@ -30,7 +30,7 @@ from execution order.  This package exploits that:
 The load-bearing property, tested at every layer: **sharding changes
 wall-clock, never results**.  A ``starts == 1`` distributed run merges
 to the bit-identical report of the serial :func:`repro.generate`, for
-any shard count, any launcher, any granularity — and any number of
+any shard count, any launcher — and any number of
 worker crashes the retry budget absorbs, because seeds derive from
 indices and never from attempts.  See ``docs/distrib.md``.
 """
@@ -62,10 +62,8 @@ from repro.distrib.runspec import (
     save_dataset_npz,
 )
 from repro.distrib.scheduler import (
-    GRANULARITIES,
     ShardSpec,
     WorkUnit,
-    plan_shards,
     plan_tasks,
     plan_units,
 )
@@ -79,9 +77,7 @@ __all__ = [
     "load_dataset_npz",
     "WorkUnit",
     "ShardSpec",
-    "GRANULARITIES",
     "plan_units",
-    "plan_shards",
     "plan_tasks",
     "run_shard",
     "UnitResult",

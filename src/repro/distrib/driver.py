@@ -18,7 +18,7 @@ Plan, launch (with retries), merge — one call::
     print(out.report.summary())                  # == the serial report
 
 Worker failure is treated as the common case, not the fatal one: the
-unit of distribution is one BO loop (``granularity="unit"``), launchers
+unit of distribution is one BO loop, launchers
 report per-task outcomes instead of aborting, and the driver re-posts
 only what failed — with attempt-suffixed task names and per-unit
 attempt/``excluded`` bookkeeping — until every planned unit has exactly
@@ -53,7 +53,7 @@ from repro.distrib.merge import (
     merge_shard_spill_dirs,
 )
 from repro.distrib.runspec import RunSpec
-from repro.distrib.scheduler import GRANULARITIES, plan_tasks, plan_units
+from repro.distrib.scheduler import plan_tasks, plan_units
 
 __all__ = ["run_sharded"]
 
@@ -67,7 +67,6 @@ def run_sharded(
     shards: int = 1,
     launcher=None,
     shard_dir: "str | None" = None,
-    granularity: str = "unit",
     max_retries: int = 0,
 ) -> DistributedReport:
     """Run a search partitioned over distributable tasks.
@@ -77,10 +76,10 @@ def run_sharded(
     spec:
         the serializable run description.
     shards:
-        the parallelism knob: at ``granularity="unit"`` it bounds how
-        many tasks run concurrently (pool width / subprocess count); at
-        ``granularity="shard"`` it is the task count itself (clamped to
-        the unit count — an empty shard would only pay launch cost).
+        the parallelism knob: it bounds how many tasks run concurrently
+        (pool width / subprocess count).  Every BO loop is its own task,
+        so launchers self-balance by claim/pool order and a retry costs
+        one loop.
     launcher:
         an :class:`~repro.distrib.launchers.InProcessLauncher` (default),
         :class:`~repro.distrib.launchers.SubprocessLauncher`, or
@@ -90,17 +89,12 @@ def run_sharded(
         conceptually by the subprocess and work-queue launchers; when
         omitted, a temporary directory is created (and the merged cache
         still lands in ``spec.cache_dir`` if that is set).
-    granularity:
-        ``"unit"`` (default) posts one task per BO loop — launchers
-        self-balance by claim/pool order and a retry costs one loop;
-        ``"shard"`` pre-groups units into ``shards`` tasks (the
-        coarse-grained mode).
     max_retries:
         how many times a failed task is re-posted (with an
         attempt-suffixed name) before the run aborts.  0 keeps every
         surviving result but fails fast on the first exhausted task.
 
-    Results are launcher-, granularity-, shard-count-, and
+    Results are launcher-, shard-count-, and
     retry-invariant; see ``docs/distrib.md`` for why.  Retry accounting
     lands in ``report.stats["fault_tolerance"]``.
     """
@@ -108,17 +102,13 @@ def run_sharded(
         raise DistributionError(f"shards must be >= 1, got {shards}")
     if max_retries < 0:
         raise DistributionError(f"max_retries must be >= 0, got {max_retries}")
-    if granularity not in GRANULARITIES:
-        raise DistributionError(
-            f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
-        )
     launcher = launcher if launcher is not None else InProcessLauncher()
     tracer = get_tracer()  # NULL_TRACER unless REPRO_OBS is set
 
     datasets: dict = {}
-    with tracer.span("distrib.plan", shards=shards, granularity=granularity):
+    with tracer.span("distrib.plan", shards=shards):
         units = plan_units(spec, datasets=datasets)
-        tasks = plan_tasks(units, shards, granularity=granularity)
+        tasks = plan_tasks(units, shards)
 
     tmp = None
     needs_dir = getattr(launcher, "name", "") in ("subprocess", "workqueue")
@@ -182,7 +172,6 @@ def run_sharded(
         with tracer.span("distrib.merge", tasks=len(tasks)):
             merged = merge_results(spec, shard_results, datasets=datasets)
         merged.stats["fault_tolerance"] = {
-            "granularity": granularity,
             "max_retries": max_retries,
             "tasks": len(tasks),
             "task_launches": launches,

@@ -28,8 +28,8 @@ differ only in *where* tasks run:
   requeues any claim whose heartbeat stops, so a worker killed between
   claim and complete orphans nothing.
 
-At unit granularity (the default — see
-:func:`~repro.distrib.scheduler.plan_tasks`) every launcher is
+Every task carries one unit (see
+:func:`~repro.distrib.scheduler.plan_tasks`), so every launcher is
 self-balancing: workers pull the next single-unit task the moment one
 finishes, so heavy families never long-pole a pre-assigned group.
 Because every unit's trajectory is seeded by indices, neither the
@@ -314,9 +314,8 @@ class WorkQueueLauncher:
     ----------
     drainers:
         local drainers to start.  ``None`` (default) follows the
-        driver's ``width`` hint — the ``shards`` knob — so at unit
-        granularity ``shards`` bounds drainer concurrency like every
-        other launcher; ``0`` relies entirely on external machines
+        driver's ``width`` hint — the ``shards`` knob — so ``shards``
+        bounds drainer concurrency like every other launcher; ``0`` relies entirely on external machines
         already pointed at the directory.
     mode:
         ``"subprocess"`` (default) starts drainer worker processes;
@@ -399,7 +398,7 @@ class WorkQueueLauncher:
         stop_draining = threading.Event()
         linger = self._linger()
         # None = follow the driver's width hint (the `shards` knob), so
-        # unit-granularity runs get `shards`-wide drainer concurrency —
+        # runs get `shards`-wide drainer concurrency —
         # capped at the pending-task count, so a retry round re-posting
         # two stragglers doesn't pay a full fleet of interpreter starts.
         if self.drainers is not None:

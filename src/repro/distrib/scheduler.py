@@ -5,18 +5,18 @@ evaluation pool: every (model, algorithm-family) search is an
 independent BO loop whose seed derives from *indices*, never from
 execution order.  A :class:`WorkUnit` names one such loop — plus a
 ``start`` index for multi-start search — and a :class:`ShardSpec` is the
-round-robin slice of the unit list one worker executes.
+launcher task that carries one unit to a worker.
 
 Because seeds derive from ``(model index, family index, start)``, the
-partition is **latency-only**: any shard count, any launcher, any
+schedule is **latency-only**: any shard count, any launcher, any
 machine assignment produces bit-identical unit histories, so the merged
 run equals the serial one.
 
 Example::
 
     units = plan_units(spec)                  # enumerate the BO loops
-    shards = plan_shards(units, n_shards=4)   # round-robin partition
-    results = [run_shard(spec, s) for s in shards]   # anywhere, any order
+    tasks = plan_tasks(units, n_shards=4)     # one task per loop
+    results = [run_shard(spec, t) for t in tasks]    # anywhere, any order
 """
 
 from __future__ import annotations
@@ -33,19 +33,11 @@ from repro.distrib.runspec import RunSpec
 __all__ = [
     "WorkUnit",
     "ShardSpec",
-    "GRANULARITIES",
     "plan_units",
-    "plan_shards",
     "plan_tasks",
     "unit_family_seed",
     "unit_model_seed",
 ]
-
-#: How a run's unit list becomes launcher tasks.  ``"unit"`` (the
-#: default) posts one task per BO loop — self-balancing by claim/pool
-#: order, and a failure costs one loop; ``"shard"`` pre-groups units
-#: round-robin into exactly ``n_shards`` tasks (the PR-4 behaviour).
-GRANULARITIES = ("unit", "shard")
 
 #: Salt spacing between multi-start trajectories of one family.  Far
 #: larger than any family index so start streams can never collide with
@@ -175,46 +167,17 @@ def plan_units(spec: RunSpec, datasets: "dict | None" = None) -> list:
     return units
 
 
-def plan_shards(units: list, n_shards: int) -> list:
-    """Partition units round-robin into ``n_shards`` shards.
+def plan_tasks(units: list, n_shards: int) -> list:
+    """Turn the unit list into launcher tasks.
 
-    Round-robin (unit ``i`` -> shard ``i % n_shards``) spreads the heavy
-    families — which cluster at the same family index across models —
-    instead of handing one shard all of them.  Shard counts above the
-    unit count are clamped: an empty shard would only pay launch cost.
+    Emits one single-unit :class:`ShardSpec` per BO loop, indexed by
+    unit position.  Any launcher becomes self-balancing — a pool of
+    ``n_shards`` workers pulls the next unit the moment one finishes, so
+    a heavy family (dnn) never long-poles a worker stuck behind a
+    pre-assigned group — and a retry re-runs one loop.  ``n_shards``
+    bounds *concurrency* (pool width, subprocess count, drainers), not
+    the task count.
     """
-    if n_shards < 1:
-        raise SpecificationError(f"n_shards must be >= 1, got {n_shards}")
-    if not units:
-        raise SpecificationError("cannot shard an empty unit list")
-    n_shards = min(n_shards, len(units))
-    return [
-        ShardSpec(index=i, n_shards=n_shards, units=list(units[i::n_shards]))
-        for i in range(n_shards)
-    ]
-
-
-def plan_tasks(units: list, n_shards: int, granularity: str = "unit") -> list:
-    """Turn the unit list into launcher tasks at the chosen granularity.
-
-    ``"unit"`` (default) emits one single-unit :class:`ShardSpec` per
-    BO loop, indexed by unit position.  Any launcher becomes
-    self-balancing — a pool of ``n_shards`` workers pulls the next unit
-    the moment one finishes, so a heavy family (dnn) never long-poles a
-    worker stuck behind a pre-assigned group — and a retry re-runs one
-    loop, not a whole shard.  ``n_shards`` then bounds *concurrency*
-    (pool width, subprocess count, drainers), not the task count.
-
-    ``"shard"`` pre-groups units round-robin into exactly ``n_shards``
-    tasks via :func:`plan_shards` — fewer task files and one process
-    per shard, at the cost of coarse failure and static balance.
-    """
-    if granularity == "shard":
-        return plan_shards(units, n_shards)
-    if granularity != "unit":
-        raise SpecificationError(
-            f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
-        )
     if n_shards < 1:
         raise SpecificationError(f"n_shards must be >= 1, got {n_shards}")
     if not units:

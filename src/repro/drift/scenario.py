@@ -29,16 +29,11 @@ import dataclasses
 import numpy as np
 
 from repro.datasets.base import Dataset
-from repro.datasets.botnet import (
-    BENIGN_PROFILES,
-    BOTNET_PROFILES,
-    flow_label,
-)
+from repro.datasets.botnet import BOTNET_PROFILES, flow_label, sample_flows
 from repro.distrib.runspec import DatasetRef, ModelEntry, RunSpec
-from repro.errors import AdaptationError
+from repro.errors import AdaptationError, DatasetError
 from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
-from repro.netsim.trace import TrafficProfile, generate_flow
-from repro.rng import as_generator
+from repro.netsim.trace import TrafficProfile, interleave_flows
 
 __all__ = [
     "PHASE_PRE",
@@ -105,20 +100,11 @@ def generate_phase_flows(
     botnet_fraction: float = 0.5,
 ) -> list:
     """Labeled flows with the phase's botnet profiles (benign unchanged)."""
-    if n_flows < 2:
-        raise AdaptationError("need at least two flows")
-    if not 0.0 < botnet_fraction < 1.0:
-        raise AdaptationError("botnet_fraction must be in (0, 1)")
     botnet = _botnet_profiles(phase)
-    rng = as_generator(seed)
-    flows = []
-    for _ in range(n_flows):
-        if rng.random() < botnet_fraction:
-            profile = botnet[int(rng.integers(len(botnet)))]
-        else:
-            profile = BENIGN_PROFILES[int(rng.integers(len(BENIGN_PROFILES)))]
-        flows.append(generate_flow(profile, seed=rng))
-    return flows
+    try:
+        return sample_flows(botnet, n_flows, botnet_fraction, seed)
+    except DatasetError as exc:
+        raise AdaptationError(str(exc)) from None
 
 
 def phase_trace(
@@ -126,11 +112,7 @@ def phase_trace(
 ) -> tuple:
     """Timestamp-sorted ``(packets, labels)`` for one phase's traffic."""
     flows = generate_phase_flows(n_flows, phase=phase, seed=seed)
-    tagged = sorted(
-        ((p.timestamp, p, flow_label(f)) for f in flows for p in f),
-        key=lambda item: item[0],
-    )
-    return [item[1] for item in tagged], [item[2] for item in tagged]
+    return interleave_flows(flows, flow_label)
 
 
 def packet_dataset(

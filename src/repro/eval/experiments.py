@@ -62,7 +62,6 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
                             n_workers: int, batch_size: "int | None",
                             shards: int, launcher: "str | None",
                             shard_dir: "str | None",
-                            granularity: "str | None" = None,
                             max_retries: int = 0) -> dict:
     """Compile every Table-2 app in ONE distributed run; per-app reports.
 
@@ -108,7 +107,6 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
         shards=shards,
         launcher=make_launcher(launcher or "inprocess"),
         shard_dir=shard_dir,
-        granularity=granularity or "unit",
         max_retries=max_retries,
     )
     reports = {}
@@ -132,21 +130,20 @@ def run_table2(budget: int = 15, seed: int = 0, quick: bool = True, apps=APPS,
                n_workers: int = 1, batch_size: "int | None" = None,
                shards: int = 1, launcher: "str | None" = None,
                shard_dir: "str | None" = None,
-               granularity: "str | None" = None,
                max_retries: int = 0) -> list:
     """Rows: app x {baseline, homunculus} with F1 (%), params, CUs, MUs.
 
     ``shards > 1`` compiles all apps in one sharded run (identical
     results, lower wall clock); ``launcher`` names a
     :mod:`repro.distrib` launcher ("inprocess", "subprocess",
-    "workqueue").  ``granularity``/``max_retries`` tune the distribution
-    grain and crash tolerance (see :func:`repro.distrib.run_sharded`).
+    "workqueue").  ``max_retries`` tunes crash tolerance (see
+    :func:`repro.distrib.run_sharded`).
     """
     sharded_reports = None
     if shards > 1 or launcher is not None:
         sharded_reports = _table2_sharded_reports(
             apps, budget, seed, quick, n_workers, batch_size,
-            shards, launcher, shard_dir, granularity, max_retries,
+            shards, launcher, shard_dir, max_retries,
         )
     backend = TaurusBackend(TaurusGrid(16, 16))
     rows = []

@@ -18,7 +18,6 @@ import sys
 import time
 
 from repro.distrib.launchers import LAUNCHERS
-from repro.distrib.scheduler import GRANULARITIES
 from repro.eval import experiments as exp
 
 #: name -> (runner(**kwargs), formatter)
@@ -43,13 +42,12 @@ def run_experiment(
     shards: int = 1,
     launcher: "str | None" = None,
     shard_dir: "str | None" = None,
-    granularity: "str | None" = None,
     max_retries: int = 0,
 ) -> str:
     """Run one experiment and return its formatted text.
 
     ``n_workers``/``batch_size`` — and the sharding knobs ``shards``/
-    ``launcher``/``shard_dir``/``granularity``/``max_retries`` — are
+    ``launcher``/``shard_dir``/``max_retries`` — are
     forwarded to experiments whose runners accept them (the ones driving
     compiler searches); the search results are identical to a serial
     run, only faster (and, with retries, crash-tolerant).
@@ -66,7 +64,6 @@ def run_experiment(
         kwargs["shards"] = shards
         kwargs["launcher"] = launcher
         kwargs["shard_dir"] = shard_dir
-        kwargs["granularity"] = granularity
         kwargs["max_retries"] = max_retries
     result = runner(**kwargs)
     return formatter(result)
@@ -111,11 +108,6 @@ def main(argv: "list | None" = None) -> int:
         help="scratch directory for shard task/result/spill files",
     )
     parser.add_argument(
-        "--granularity", default=None, choices=sorted(GRANULARITIES),
-        help="distribution grain for sharded experiments "
-             "(default: unit — one task per BO loop)",
-    )
-    parser.add_argument(
         "--max-retries", type=int, default=0,
         help="re-post failed shard tasks this many times before aborting",
     )
@@ -147,7 +139,6 @@ def main(argv: "list | None" = None) -> int:
             shards=args.shards,
             launcher=args.launcher,
             shard_dir=args.shard_dir,
-            granularity=args.granularity,
             max_retries=args.max_retries,
         )
         elapsed = time.time() - start

@@ -21,7 +21,6 @@ micro-batches, rollback + abort on regression.  On top of those,
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 
 from repro.alchemy.platforms import PlatformSpec
 from repro.control import FleetController, FleetWorker, RegressionGate
@@ -106,39 +105,6 @@ def rebuild_plan_pipelines(plan: FabricPlan) -> dict:
     return pipelines
 
 
-def _looping_traffic(packets: list, stop: "asyncio.Event",
-                     rate: float):
-    """Loop a packet trace forever at ``rate`` packets/s.
-
-    Each lap shifts timestamps by the trace span so stateful extractors
-    see a monotonic stream; pacing is chunked (one sleep per chunk) so
-    it holds without a per-packet timer — the serve-path idiom.
-    """
-    span = (packets[-1].timestamp - packets[0].timestamp + 1.0
-            if len(packets) > 1 else 1.0)
-    chunk = max(1, int(rate // 100) or 1)
-    pause = chunk / rate
-
-    async def traffic():
-        lap = 0
-        while not stop.is_set():
-            shift = lap * span
-            sent = 0
-            for packet in packets:
-                if stop.is_set():
-                    return
-                if shift:
-                    packet = dataclasses.replace(
-                        packet, timestamp=packet.timestamp + shift)
-                yield (packet, None)
-                sent += 1
-                if sent % chunk == 0:
-                    await asyncio.sleep(pause)
-            lap += 1
-
-    return traffic()
-
-
 async def _wait_for_batches(workers: list, min_batches: int,
                             timeout_s: float) -> None:
     """Block until every engine has produced ``min_batches`` batches.
@@ -182,6 +148,8 @@ def deploy_plan(
     """
     if not packets:
         raise FabricError("deploy_plan needs a packet trace")
+    if rate <= 0:
+        raise FabricError(f"deploy_plan rate must be > 0, got {rate}")
     gate = gate if gate is not None else RegressionGate(**_DEFAULT_GATE)
     pipelines = rebuild_plan_pipelines(plan)
     spec = FabricSpec.from_dict(plan.spec)
@@ -208,7 +176,7 @@ def deploy_plan(
 
 async def _deploy(plan, spec, pipelines, packets, gate, rate,
                   batch_size, queue_depth, warm_s) -> dict:
-    from repro.serving import AsyncStreamEngine
+    from repro.serving import AsyncStreamEngine, loop_replay
 
     stop = asyncio.Event()
     workers = []
@@ -227,7 +195,7 @@ async def _deploy(plan, spec, pipelines, packets, gate, rate,
         controller.register_pipeline(f"plan-{tier}-{app}", pipeline)
     for worker in workers:
         worker.attach(asyncio.create_task(
-            worker.engine.run(_looping_traffic(packets, stop, rate)),
+            worker.engine.run(loop_replay(packets, None, rate, stop)),
             name=f"fabric-{worker.name}",
         ))
     report = {"ok": True, "tiers": {}, "workers": {},

@@ -338,7 +338,6 @@ def plan_fabric(
     shards: int = 1,
     launcher=None,
     shard_dir: "str | None" = None,
-    granularity: str = "unit",
     max_retries: int = 0,
 ) -> FabricPlan:
     """Compile every (device, app) pair and assemble the fabric plan.
@@ -375,8 +374,7 @@ def plan_fabric(
                             if shard_dir else None)
                 out = run_sharded(
                     run, shards=shards, launcher=tier_launcher,
-                    shard_dir=tier_dir, granularity=granularity,
-                    max_retries=max_retries,
+                    shard_dir=tier_dir, max_retries=max_retries,
                 )
                 for entry in run.models:
                     device, _, app = entry.name.partition(":")

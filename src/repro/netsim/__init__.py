@@ -21,7 +21,12 @@ from repro.netsim.packet import (
     conversation_key,
     five_tuple,
 )
-from repro.netsim.trace import TrafficProfile, generate_flow, generate_trace
+from repro.netsim.trace import (
+    TrafficProfile,
+    generate_flow,
+    generate_trace,
+    interleave_flows,
+)
 
 __all__ = [
     "Packet",
@@ -34,6 +39,7 @@ __all__ = [
     "TrafficProfile",
     "generate_flow",
     "generate_trace",
+    "interleave_flows",
     "packet_features",
     "PACKET_FEATURE_NAMES",
     "FlowMarkerSpec",

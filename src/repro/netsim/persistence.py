@@ -14,6 +14,7 @@ import struct
 from repro.errors import DatasetError
 from repro.netsim.flow import Flow, FlowTable
 from repro.netsim.packet import Packet, five_tuple
+from repro.netsim.trace import interleave_flows
 
 #: File magic ("HMTR") and format version.
 MAGIC = 0x484D5452
@@ -31,28 +32,21 @@ def write_trace(path: str, flows: list) -> int:
     flow's 5-tuple to its label (traces and ground truth usually travel
     separately).
     """
-    records = []
-    labels: dict = {}
-    for flow in flows:
-        if len(flow) == 0:
-            continue
-        key = five_tuple(flow.packets[0])
-        if flow.label is not None:
-            labels[key] = flow.label
-        for p in flow:
-            records.append(
-                (p.timestamp, p.size, p.src_ip, p.dst_ip, p.src_port,
-                 p.dst_port, p.protocol, p.ttl, p.tcp_flags)
-            )
-    records.sort(key=lambda r: r[0])
+    packets, _ = interleave_flows(flows)
+    labels = {
+        five_tuple(flow.packets[0]): flow.label
+        for flow in flows if len(flow) and flow.label is not None
+    }
     with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(MAGIC, VERSION, len(records)))
-        for record in records:
-            handle.write(_RECORD.pack(*record))
+        handle.write(_HEADER.pack(MAGIC, VERSION, len(packets)))
+        for p in packets:
+            handle.write(_RECORD.pack(
+                p.timestamp, p.size, p.src_ip, p.dst_ip, p.src_port,
+                p.dst_port, p.protocol, p.ttl, p.tcp_flags))
     with open(path + ".labels", "w") as handle:
         for key, label in sorted(labels.items()):
             handle.write(",".join(str(v) for v in key) + f",{label}\n")
-    return len(records)
+    return len(packets)
 
 
 def read_trace(path: str) -> list:

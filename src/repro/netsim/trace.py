@@ -154,3 +154,21 @@ def generate_trace(
         start = float(rng.uniform(0.0, 60.0))
         flows.append(generate_flow(profile, seed=rng, start_time=start))
     return flows
+
+
+def interleave_flows(flows, label_fn=None) -> tuple:
+    """Merge flows into one capture: timestamp-sorted ``(packets, labels)``.
+
+    ``label_fn(flow)`` labels every packet of a flow (e.g.
+    :func:`repro.datasets.botnet.flow_label`); without it ``labels`` is
+    ``None``.  The sort is stable, so packets sharing a timestamp keep
+    flow order.
+    """
+    tagged = []
+    for flow in flows:
+        label = label_fn(flow) if label_fn is not None else None
+        tagged.extend((packet, label) for packet in flow)
+    tagged.sort(key=lambda item: item[0].timestamp)
+    packets = [packet for packet, _ in tagged]
+    labels = [label for _, label in tagged] if label_fn is not None else None
+    return packets, labels

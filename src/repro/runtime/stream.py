@@ -26,6 +26,7 @@ from repro.netsim.features import packet_features
 from repro.netsim.flow import Flow
 from repro.netsim.flowmarker import PAPER_SPEC, FlowMarkerSpec
 from repro.netsim.packet import Packet, conversation_key
+from repro.netsim.trace import interleave_flows
 
 
 class PacketFeatureExtractor:
@@ -233,12 +234,4 @@ class StreamProcessor:
         ``label_fn(flow) -> int`` labels every packet of a flow (e.g.
         :func:`repro.datasets.botnet.flow_label`).
         """
-        tagged = []
-        for flow in flows:
-            label = label_fn(flow) if label_fn is not None else None
-            for packet in flow:
-                tagged.append((packet.timestamp, packet, label))
-        tagged.sort(key=lambda item: item[0])
-        packets = [item[1] for item in tagged]
-        labels = [item[2] for item in tagged] if label_fn is not None else None
-        return self.process(packets, labels)
+        return self.process(*interleave_flows(flows, label_fn))

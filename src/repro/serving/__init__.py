@@ -21,7 +21,7 @@ from repro.serving.channel import (
     PriorityChannel,
     QueueDiscipline,
 )
-from repro.serving.clock import VirtualClock, WallClock, replay
+from repro.serving.clock import VirtualClock, WallClock, loop_replay, replay
 from repro.serving.device import TimedPipeline
 from repro.serving.engine import DROP_POLICIES, AsyncStreamEngine
 from repro.serving.router import PipelineRouter, Route
@@ -43,5 +43,6 @@ __all__ = [
     "RingSeries",
     "VirtualClock",
     "WallClock",
+    "loop_replay",
     "replay",
 ]

@@ -13,11 +13,14 @@ Every serving component therefore reads time through a :class:`Clock`:
 :func:`replay` turns a recorded packet list into a paced async stream:
 inter-packet gaps from the capture are honoured at a configurable speed
 multiplier (``speed=0`` streams as fast as the pipeline can drain).
+:func:`loop_replay` loops a trace forever at a fixed packet rate — the
+live-fleet traffic source — with timestamps kept monotonic across laps.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from typing import AsyncIterator, Iterable, Sequence
 
@@ -124,3 +127,63 @@ async def replay(
             # Yield to the loop periodically so an unpaced replay cannot
             # starve the downstream stages feeding off our queue puts.
             await asyncio.sleep(0)
+
+
+def loop_replay(
+    packets: Sequence,
+    labels: "Sequence | None",
+    rate: float,
+    stop: asyncio.Event,
+) -> AsyncIterator:
+    """Loop ``packets`` as an async ``(packet, label)`` stream until ``stop``.
+
+    Emits ~``rate`` packets/s in chunks of ``max(1, rate // 100)`` with
+    one sleep per chunk, so pacing holds without a per-packet timer.
+    Each lap shifts timestamps by the trace span (plus one second), so
+    stateful extractors see a monotonic stream across laps.  ``labels``
+    (parallel to ``packets``) pass through unchanged; ``None`` labels
+    every packet ``None``.  The stream ends at the first packet boundary
+    after ``stop`` is set.
+
+    Example::
+
+        stop = asyncio.Event()
+        task = asyncio.create_task(
+            engine.run(loop_replay(packets, labels, 4000.0, stop)))
+        ...
+        stop.set()
+        await task
+    """
+    if rate <= 0:
+        raise HomunculusError(f"loop_replay rate must be > 0, got {rate}")
+    packets = list(packets)
+    if not packets:
+        raise HomunculusError("loop_replay needs a non-empty packet trace")
+    labels = list(labels) if labels is not None else [None] * len(packets)
+    if len(labels) != len(packets):
+        raise HomunculusError(
+            f"loop_replay got {len(labels)} labels for {len(packets)} packets")
+    return _loop(packets, labels, rate, stop)
+
+
+async def _loop(packets: list, labels: list, rate: float,
+                stop: asyncio.Event) -> AsyncIterator:
+    span = packets[-1].timestamp - packets[0].timestamp + 1.0
+    chunk = max(1, int(rate // 100))
+    pause = chunk / rate
+    lap = sent = 0
+    while not stop.is_set():
+        shift = lap * span
+        for packet, label in zip(packets, labels):
+            if stop.is_set():
+                return
+            if shift:
+                packet = dataclasses.replace(
+                    packet, timestamp=packet.timestamp + shift)
+            yield packet, label
+            # Counted across laps: a trace shorter than one chunk must
+            # still sleep, or the loop would never yield to ``stop``.
+            sent += 1
+            if sent % chunk == 0:
+                await asyncio.sleep(pause)
+        lap += 1

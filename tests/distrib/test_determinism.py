@@ -160,14 +160,6 @@ def test_multistart_never_loses_to_serial(serial_report):
     assert out.report.best.objective >= serial_report.best.objective
 
 
-def test_shard_granularity_matches_unit_granularity(reference, tmp_path):
-    ref_fp, ref_cache = reference
-    spec = make_spec(cache_dir=str(tmp_path / "cache"))
-    out = run_sharded(spec, shards=2, granularity="shard")
-    assert fingerprint(out) == ref_fp
-    assert cache_contents(out) == ref_cache
-
-
 # --------------------------------------------------------------------------- #
 # the chaos matrix: crashes absorbed by retries change nothing
 # --------------------------------------------------------------------------- #

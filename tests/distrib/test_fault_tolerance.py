@@ -428,20 +428,9 @@ class TestDriverRetries:
         assert ft["task_launches"] == 3
         assert len(ft["excluded"][1]) == 1
 
-    def test_shard_granularity_retry(self, monkeypatch, tmp_path):
-        reference = run_sharded(tiny_spec(), shards=2, granularity="shard")
-        chaos_fail_once(monkeypatch, tmp_path, "unit-0000.a0")
-        out = run_sharded(tiny_spec(), shards=2, granularity="shard",
-                          max_retries=1)
-        assert out.report.best.objective == reference.report.best.objective
-        assert out.stats["fault_tolerance"]["granularity"] == "shard"
-        assert out.stats["fault_tolerance"]["retries"] == 1
-
     def test_driver_validates_arguments(self):
         with pytest.raises(DistributionError, match="max_retries"):
             run_sharded(tiny_spec(), shards=1, max_retries=-1)
-        with pytest.raises(DistributionError, match="granularity"):
-            run_sharded(tiny_spec(), shards=1, granularity="molecule")
 
     def test_subprocess_kill_between_claim_and_complete_is_retried(
         self, monkeypatch, tmp_path

@@ -20,7 +20,7 @@ from repro.distrib import (
     WorkQueue,
     WorkQueueLauncher,
     make_launcher,
-    plan_shards,
+    plan_tasks,
     plan_units,
 )
 from repro.distrib.worker import drain, main as worker_main, reap
@@ -284,7 +284,7 @@ class TestClockSkew:
 class TestDrain:
     def test_drain_executes_posted_shards_and_exits_when_empty(self, tmp_path):
         spec = tiny_spec()
-        shards = plan_shards(plan_units(spec), 1)
+        shards = plan_tasks(plan_units(spec), 1)
         queue = WorkQueue(str(tmp_path))
         queue.post("shard-0000", {"run": spec.to_dict(),
                                   "shard": shards[0].to_dict(),
@@ -304,7 +304,7 @@ class TestDrain:
 
     def test_worker_main_task_mode(self, tmp_path):
         spec = tiny_spec()
-        shards = plan_shards(plan_units(spec), 1)
+        shards = plan_tasks(plan_units(spec), 1)
         task = tmp_path / "task.json"
         out = tmp_path / "out.json"
         task.write_text(json.dumps({
@@ -330,7 +330,7 @@ class TestLaunchers:
 
     def test_subprocess_launcher_requires_shard_dir(self):
         spec = tiny_spec()
-        shards = plan_shards(plan_units(spec), 1)
+        shards = plan_tasks(plan_units(spec), 1)
         with pytest.raises(DistributionError):
             SubprocessLauncher().launch(spec, shards, None)
 
@@ -339,7 +339,7 @@ class TestLaunchers:
         # launcher must hand back a TaskFailure outcome (with the
         # worker's stderr) instead of raising away surviving results.
         spec = tiny_spec()
-        good_shards = plan_shards(plan_units(spec), 1)
+        good_shards = plan_tasks(plan_units(spec), 1)
         spec.models[0].dataset = DatasetRef.for_npz(str(tmp_path / "gone.npz"))
         outcomes = SubprocessLauncher(timeout=120).launch(
             spec, good_shards, str(tmp_path)
@@ -353,7 +353,7 @@ class TestLaunchers:
 
     def test_workqueue_launcher_requires_shard_dir(self):
         spec = tiny_spec()
-        shards = plan_shards(plan_units(spec), 1)
+        shards = plan_tasks(plan_units(spec), 1)
         with pytest.raises(DistributionError):
             WorkQueueLauncher(mode="thread").launch(spec, shards, None)
 
@@ -365,7 +365,7 @@ class TestLaunchers:
 
     def test_workqueue_thread_mode_completes(self, tmp_path):
         spec = tiny_spec()
-        shards = plan_shards(plan_units(spec), 1)
+        shards = plan_tasks(plan_units(spec), 1)
         results = WorkQueueLauncher(drainers=2, mode="thread", timeout=120).launch(
             spec, shards, str(tmp_path)
         )
@@ -374,7 +374,7 @@ class TestLaunchers:
 
     def test_workqueue_launcher_reports_shard_failure_as_outcome(self, tmp_path):
         spec = tiny_spec()
-        shards = plan_shards(plan_units(spec), 1)
+        shards = plan_tasks(plan_units(spec), 1)
         spec.models[0].dataset = DatasetRef.for_npz(str(tmp_path / "gone.npz"))
         outcomes = WorkQueueLauncher(
             drainers=1, mode="thread", timeout=60, stale_after=None,

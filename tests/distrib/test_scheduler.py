@@ -1,5 +1,5 @@
 """Shard planning: unit enumeration, seed derivations, and the
-round-robin partition — the determinism-critical plumbing."""
+unit-to-task schedule — the determinism-critical plumbing."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.distrib import (
     RunSpec,
     ShardSpec,
     WorkUnit,
-    plan_shards,
     plan_tasks,
     plan_units,
 )
@@ -94,6 +93,8 @@ class TestSeeds:
 
 
 class TestPlanShards:
+    """The :class:`ShardSpec` tasks :func:`plan_tasks` hands launchers."""
+
     def units(self, n):
         return [
             WorkUnit(model_index=0, model_name="m", family_index=i,
@@ -101,31 +102,25 @@ class TestPlanShards:
             for i in range(n)
         ]
 
-    def test_round_robin_partition(self):
-        shards = plan_shards(self.units(5), 2)
-        assert [u.family_index for u in shards[0].units] == [0, 2, 4]
-        assert [u.family_index for u in shards[1].units] == [1, 3]
-        assert all(s.n_shards == 2 for s in shards)
-
     def test_every_unit_assigned_exactly_once(self):
         units = self.units(7)
-        shards = plan_shards(units, 3)
+        shards = plan_tasks(units, 3)
         seen = [u for s in shards for u in s.units]
         assert sorted(u.family_index for u in seen) == list(range(7))
 
     def test_clamps_to_unit_count(self):
-        shards = plan_shards(self.units(2), 8)
+        shards = plan_tasks(self.units(2), 8)
         assert len(shards) == 2
         assert all(len(s.units) == 1 for s in shards)
 
     def test_errors(self):
         with pytest.raises(SpecificationError):
-            plan_shards(self.units(2), 0)
+            plan_tasks(self.units(2), 0)
         with pytest.raises(SpecificationError):
-            plan_shards([], 2)
+            plan_tasks([], 2)
 
     def test_shard_spec_json_roundtrip(self):
-        shard = plan_shards(self.units(3), 2)[0]
+        shard = plan_tasks(self.units(3), 2)[0]
         again = ShardSpec.from_dict(shard.to_dict())
         assert again.index == shard.index
         assert again.units == shard.units
@@ -153,15 +148,7 @@ class TestPlanTasks:
         assert len(plan_tasks(self.units(6), 2)) == 6
         assert len(plan_tasks(self.units(6), 100)) == 6
 
-    def test_shard_granularity_delegates_to_plan_shards(self):
-        tasks = plan_tasks(self.units(5), 2, granularity="shard")
-        assert [t.to_dict() for t in tasks] == [
-            s.to_dict() for s in plan_shards(self.units(5), 2)
-        ]
-
     def test_errors(self):
-        with pytest.raises(SpecificationError):
-            plan_tasks(self.units(2), 2, granularity="molecule")
         with pytest.raises(SpecificationError):
             plan_tasks(self.units(2), 0)
         with pytest.raises(SpecificationError):
@@ -189,7 +176,7 @@ def test_plan_is_shard_count_invariant():
     units = plan_units(two_family_spec(starts=2))
     flat = {(u.model_index, u.family_index, u.start) for u in units}
     for n in (1, 2, 3, 4):
-        shards = plan_shards(units, n)
+        shards = plan_tasks(units, n)
         regrouped = {
             (u.model_index, u.family_index, u.start)
             for s in shards for u in s.units

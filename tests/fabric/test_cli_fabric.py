@@ -46,6 +46,15 @@ class TestFabricMainErrors:
         assert main(["fabric", "report", "--plan", "/nope/plan.json"]) == 2
         assert "no fabric plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--rate", "0"], ["--rate", "-5"], ["--flows", "1"],
+    ])
+    def test_bad_deploy_load_errors(self, capsys, flag):
+        assert main(["fabric", "deploy", "--plan", "p.json", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert flag[0] in err
+
     def test_bad_shards_errors(self, capsys):
         assert main(["fabric", "plan", "--spec", "s.json",
                      "--shards", "0"]) == 2

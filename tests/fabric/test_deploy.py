@@ -59,6 +59,19 @@ class TestDeployPlan:
         with pytest.raises(FabricError, match="packet trace"):
             deploy_plan(plan, [])
 
+    @pytest.mark.parametrize("rate", [0.0, -100.0])
+    def test_nonpositive_rate_rejected_before_any_worker(
+        self, plan, packets, monkeypatch, rate
+    ):
+        import repro.fabric.deploy as deploy
+
+        def no_workers(_plan):
+            raise AssertionError("deploy_plan rebuilt pipelines for workers")
+
+        monkeypatch.setattr(deploy, "rebuild_plan_pipelines", no_workers)
+        with pytest.raises(FabricError, match="rate must be > 0"):
+            deploy_plan(plan, packets, rate=rate)
+
     def test_rollout_upgrades_every_worker_losslessly(self, plan, packets):
         report = deploy_plan(plan, packets, rate=6000.0)
         assert report["ok"], report["tiers"]

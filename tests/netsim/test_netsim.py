@@ -14,6 +14,7 @@ from repro.netsim import (
     five_tuple,
     generate_flow,
     generate_trace,
+    interleave_flows,
     packet_features,
     partial_flowmarkers,
 )
@@ -157,6 +158,26 @@ class TestTrafficProfile:
             generate_trace([a], 0)
         with pytest.raises(DatasetError):
             generate_trace([a], 5, weights=[0.5, 0.5])
+
+
+class TestInterleaveFlows:
+    def flows(self):
+        a = Flow([make_packet(ts=0.0, size=100), make_packet(ts=2.0, size=200)],
+                 label="a")
+        b = Flow([make_packet(ts=1.0, size=300), make_packet(ts=2.0, size=400)],
+                 label="b")
+        return [a, b]
+
+    def test_sorted_with_stable_ties_and_flow_labels(self):
+        packets, labels = interleave_flows(self.flows(), lambda f: f.label)
+        # The ts=2.0 tie keeps flow order: a's packet before b's.
+        assert [p.size for p in packets] == [100, 300, 200, 400]
+        assert labels == ["a", "b", "a", "b"]
+
+    def test_unlabeled(self):
+        packets, labels = interleave_flows(self.flows())
+        assert [p.timestamp for p in packets] == [0.0, 1.0, 2.0, 2.0]
+        assert labels is None
 
 
 class TestFeatures:

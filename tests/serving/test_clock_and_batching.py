@@ -7,7 +7,13 @@ import pytest
 
 from repro.errors import HomunculusError
 from repro.netsim.packet import Packet
-from repro.serving import LatencyHistogram, MicroBatcher, VirtualClock, replay
+from repro.serving import (
+    LatencyHistogram,
+    MicroBatcher,
+    VirtualClock,
+    loop_replay,
+    replay,
+)
 from repro.serving.batching import SENTINEL
 
 
@@ -61,6 +67,77 @@ class TestReplay:
 
         with pytest.raises(HomunculusError):
             asyncio.run(drain())
+
+
+def take(source, n, stop):
+    """Collect ``n`` items from ``source``, set ``stop``, then drain it."""
+
+    async def collect():
+        items = []
+        async for item in source:
+            items.append(item)
+            if len(items) == n:
+                stop.set()
+        return items
+
+    return asyncio.run(collect())
+
+
+class TestLoopReplay:
+    def trace(self):
+        return [make_packet(ts=ts) for ts in (10.0, 10.5, 12.0)]
+
+    def test_timestamps_stay_monotonic_across_laps(self):
+        stop = asyncio.Event()
+        items = take(loop_replay(self.trace(), None, 1e6, stop), 9, stop)
+        stamps = [p.timestamp for p, _ in items]
+        assert len(stamps) == 9
+        assert all(a < b for a, b in zip(stamps, stamps[1:]))
+        # Each lap shifts by the trace span plus one second.
+        assert stamps[3:6] == [13.0, 13.5, 15.0]
+        assert stamps[6:] == [16.0, 16.5, 18.0]
+
+    def test_labels_pass_through_every_lap(self):
+        stop = asyncio.Event()
+        items = take(loop_replay(self.trace(), ["a", "b", "c"], 1e6, stop),
+                     7, stop)
+        assert [label for _, label in items] == list("abcabca")
+        stop = asyncio.Event()
+        items = take(loop_replay(self.trace(), None, 1e6, stop), 4, stop)
+        assert [label for _, label in items] == [None] * 4
+
+    def test_stops_at_the_next_packet_once_stop_is_set(self):
+        stop = asyncio.Event()
+        # Exactly the items before the stop: nothing leaks after it.
+        assert len(take(loop_replay(self.trace(), None, 1e6, stop), 5,
+                        stop)) == 5
+
+    def test_paced_stream_stops_promptly(self):
+        async def run():
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            loop.call_later(0.1, stop.set)
+            count = 0
+            async for _ in loop_replay(self.trace(), None, 1000.0, stop):
+                count += 1
+            return count, loop.time() - started
+
+        count, elapsed = asyncio.run(run())
+        # ~1000 pkt/s for 0.1 s, paced in chunks of 10 packets.
+        assert 0 < count < 1000
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0])
+    def test_nonpositive_rate_rejected(self, rate):
+        with pytest.raises(HomunculusError, match="rate"):
+            loop_replay(self.trace(), None, rate, asyncio.Event())
+
+    def test_bad_traces_rejected(self):
+        with pytest.raises(HomunculusError, match="non-empty"):
+            loop_replay([], None, 100.0, asyncio.Event())
+        with pytest.raises(HomunculusError, match="labels"):
+            loop_replay(self.trace(), [1], 100.0, asyncio.Event())
 
 
 def run_batcher(chunks, batch_size, max_latency=None, gap=0.0):

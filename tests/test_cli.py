@@ -1,6 +1,7 @@
 """Tests for the command-line compiler."""
 
 import os
+import re
 
 import pytest
 
@@ -105,6 +106,10 @@ class TestServeParser:
         assert main(["serve", "--queue-depth", "0"]) == 2
         assert "--queue-depth" in capsys.readouterr().err
 
+    def test_single_flow_errors(self, capsys):
+        assert main(["serve", "--flows", "1"]) == 2
+        assert "--flows must be >= 2" in capsys.readouterr().err
+
     def test_serve_end_to_end_tail_drop(self, capsys):
         code = main(
             ["serve", "--pipelines", "bd", "--flows", "30",
@@ -129,6 +134,24 @@ class TestServeParser:
         assert "route weights: bd=2" in out
         assert "rolling swap completed: bd -> v2" in out
         assert "pipeline swaps: 1" in out
+
+
+class TestControlServe:
+    def test_serve_end_to_end(self, capsys):
+        code = main(["control", "serve", "--port", "0", "--duration", "1",
+                     "--workers", "2", "--flows", "30"])
+        assert code == 0
+        out = capsys.readouterr().out
+        workers = re.findall(
+            r"^\[(w\d)\] (\d+) packets, \d+ swaps, (\d+) dropped", out, re.M)
+        assert [name for name, _, _ in workers] == ["w0", "w1"]
+        for _, packets, dropped in workers:
+            assert int(packets) > 0
+            assert dropped == "0"
+
+    def test_single_flow_errors(self, capsys):
+        assert main(["control", "serve", "--flows", "1"]) == 2
+        assert "--flows must be >= 2" in capsys.readouterr().err
 
 
 class TestMain:
@@ -223,14 +246,11 @@ class TestShardedCli:
 
     def test_fault_tolerance_flags_parse(self):
         args = build_parser().parse_args(
-            ["--app", "ad", "--granularity", "shard", "--max-retries", "2",
-             "--stale-after", "15"]
+            ["--app", "ad", "--max-retries", "2", "--stale-after", "15"]
         )
-        assert args.granularity == "shard"
         assert args.max_retries == 2
         assert args.stale_after == 15.0
         defaults = build_parser().parse_args(["--app", "ad"])
-        assert defaults.granularity is None
         assert defaults.max_retries == 0
 
     def test_invalid_max_retries_exit_code(self, capsys):
@@ -298,10 +318,9 @@ class TestRunnerShardFlags:
 
         def fake_table2(seed=0, quick=True, n_workers=1, batch_size=None,
                         shards=1, launcher=None, shard_dir=None,
-                        granularity=None, max_retries=0):
+                        max_retries=0):
             captured.update(shards=shards, launcher=launcher,
-                            shard_dir=shard_dir, granularity=granularity,
-                            max_retries=max_retries)
+                            shard_dir=shard_dir, max_retries=max_retries)
             return []
 
         monkeypatch.setitem(
@@ -309,14 +328,12 @@ class TestRunnerShardFlags:
         )
         text = runner.run_experiment(
             "table2", seed=3, quick=True, shards=4,
-            launcher="subprocess", shard_dir="/tmp/q",
-            granularity="shard", max_retries=2,
+            launcher="subprocess", shard_dir="/tmp/q", max_retries=2,
         )
         assert text == "ok"
         assert captured["shards"] == 4
         assert captured["launcher"] == "subprocess"
         assert captured["shard_dir"] == "/tmp/q"
-        assert captured["granularity"] == "shard"
         assert captured["max_retries"] == 2
 
     def test_run_experiment_skips_shards_for_non_compiler_experiments(
