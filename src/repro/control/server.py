@@ -29,8 +29,9 @@ even with observability off, and the packet path never pays for it.
 
 Errors map onto status codes: a mutation racing an in-progress rollout
 is ``409 Conflict`` (:class:`DeployConflict`), a bad request —
-unknown version, malformed JSON, bad weights — is ``400``, an unknown
-path is ``404``, anything unexpected is ``500``.  Every response body is
+unknown version, malformed JSON, bad weights, a ``Content-Length``
+that is not plain digits, a body cut short by EOF — is ``400``, an
+unknown path is ``404``, anything unexpected is ``500``.  Every response body is
 JSON; errors carry ``{"error": ..., "detail": ...}``.
 
 Example::
@@ -154,14 +155,17 @@ class ControlServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
+                if not value.strip().isdecimal():  # digits only: no sign
                     return 400, {"error": "bad-request",
                                  "detail": "bad content-length"}
+                length = int(value)
         if length > MAX_BODY:
             return 413, {"error": "too-large", "detail": f"body > {MAX_BODY}"}
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return 400, {"error": "bad-request",
+                         "detail": "body shorter than content-length"}
         if body:
             try:
                 payload = json.loads(body)

@@ -37,8 +37,17 @@ class _BaseForest:
         self._rng = as_generator(seed)
         self.trees: list = []
 
+    #: The CART tree class the forest bags.
+    _tree_class: type
+
     def _make_tree(self, rng: np.random.Generator):
-        raise NotImplementedError
+        return self._tree_class(
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+            seed=rng,
+        )
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -64,18 +73,11 @@ class _BaseForest:
 class RandomForestClassifier(_BaseForest):
     """Majority-vote ensemble of Gini CART trees."""
 
+    _tree_class = DecisionTreeClassifier
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.classes_: np.ndarray | None = None
-
-    def _make_tree(self, rng: np.random.Generator) -> DecisionTreeClassifier:
-        return DecisionTreeClassifier(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            seed=rng,
-        )
 
     def fit(self, X, y):
         """Fit the ensemble on bootstrap resamples of ``(X, y)``.
@@ -109,14 +111,7 @@ class RandomForestClassifier(_BaseForest):
 class RandomForestRegressor(_BaseForest):
     """Mean-aggregated ensemble of variance-reduction CART trees."""
 
-    def _make_tree(self, rng: np.random.Generator) -> DecisionTreeRegressor:
-        return DecisionTreeRegressor(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            seed=rng,
-        )
+    _tree_class = DecisionTreeRegressor
 
     def _all_predictions(self, X) -> np.ndarray:
         if not self.trees:

@@ -5,6 +5,23 @@ Tofino backend lowers onto MATs (one table per level), and (b) the
 regression tree is the building block of the random forest that serves as
 the Bayesian-optimization surrogate (the paper configures HyperMapper with
 a random-forest model).
+
+Both trees and both forests share one split engine:
+
+* **Presort once per fit.** ``np.argsort(X, axis=0, kind="stable")``; a
+  split hands it to the children by a stable boolean partition, so each
+  keeps its rows in ``(value, row index)`` order, as a per-node stable
+  argsort would.  The node's rows in original order ride along: the
+  regressor's leaf mean and variance are order-sensitive sums.
+* **Score every candidate feature at once**, one prefix-statistic pass
+  over the ``(k, n)`` sorted targets (the ``_split_gains`` hook).
+* **The tie rule.** Splits are scanned feature by feature, positions
+  ascending; one replaces the best so far only if its gain is more than
+  ``1e-12`` higher.  :func:`_first_to_beat` applies it without a loop.
+
+Trees, leaf values and RNG consumption are bit-identical to the
+per-node-argsort CART this engine replaced, the oracle of
+``tests/ml/test_tree_oracle.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +32,9 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.rng import as_generator
+
+#: A split must beat the best gain so far by more than this to replace it.
+_TIE_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -40,8 +60,42 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum ``(k, K, m)`` over classes as ``np.sum`` adds a contiguous row.
+
+    NumPy adds fewer than 8 terms left to right and more pairwise, so
+    wide rows go through a class-contiguous copy.
+    """
+    if a.shape[1] < 8:
+        return a.sum(axis=1)
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).sum(axis=-1)
+
+
+def _first_to_beat(gains: np.ndarray) -> int:
+    """Index the sequential tie rule ends on, or -1 if nothing beats 0.
+
+    The rule scans from ``best = 0`` and accepts a gain above ``best +
+    1e-12``, so every scanned gain is at most ``best + 1e-12``.  Against
+    the running maximum of earlier gains (seeded with 0), a gain above
+    ``runmax + 1e-12`` is certainly accepted and one at or below
+    ``runmax`` certainly rejected; only near-ties after the last certain
+    acceptance need a sequential pass.
+    """
+    runmax = np.empty_like(gains)
+    runmax[0] = 0.0
+    runmax[1:] = gains[:-1]
+    np.fmax.accumulate(runmax, out=runmax)
+    certain = np.nonzero(gains > runmax + _TIE_TOLERANCE)[0]
+    pick = int(certain[-1]) if certain.size else -1
+    best = float(gains[pick]) if certain.size else 0.0
+    for i in np.nonzero(gains[pick + 1:] > runmax[pick + 1:])[0] + pick + 1:
+        if gains[i] > best + _TIE_TOLERANCE:
+            best, pick = float(gains[i]), int(i)
+    return pick
+
+
 class _BaseTree:
-    """Shared CART machinery; subclasses define impurity and leaf values."""
+    """The shared CART engine; subclasses define the criterion and leaves."""
 
     def __init__(
         self,
@@ -70,6 +124,16 @@ class _BaseTree:
     def _impurity(self, y: np.ndarray) -> float:
         raise NotImplementedError
 
+    def _split_gains(self, ys: np.ndarray, lo: int, hi: int, parent: float) -> np.ndarray:
+        """Gains of splitting each row of ``ys`` after sorted position ``lo <= i < hi``.
+
+        ``ys`` is ``(k, n)``: the node's targets in each candidate
+        feature's sorted order.  Returns the ``(k, hi - lo)`` gains.
+        Side sizes may be float arrays: ints convert exactly, so every
+        quotient and product is the one integer sizes would give.
+        """
+        raise NotImplementedError
+
     # Construction -------------------------------------------------------
     def _candidate_features(self) -> np.ndarray:
         d = self.n_features_
@@ -81,51 +145,59 @@ class _BaseTree:
             k = min(int(self.max_features), d)
         return self._rng.choice(d, size=k, replace=False)
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
-        """Return (feature, threshold, gain); feature == -1 if no split."""
-        parent = self._impurity(y)
-        n = y.shape[0]
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for feature in self._candidate_features():
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
-            ys = y[order]
-            # Candidate thresholds at midpoints between distinct values.
-            distinct = np.nonzero(np.diff(xs) > 0)[0]
-            for i in distinct:
-                left_n = i + 1
-                right_n = n - left_n
-                if left_n < self.min_samples_leaf or right_n < self.min_samples_leaf:
-                    continue
-                gain = parent - (
-                    left_n / n * self._impurity(ys[:left_n])
-                    + right_n / n * self._impurity(ys[left_n:])
-                )
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best_feature = int(feature)
-                    best_threshold = float((xs[i] + xs[i + 1]) / 2.0)
-        return best_feature, best_threshold, best_gain
+    def _best_split(
+        self, XT: np.ndarray, y: np.ndarray, order: np.ndarray, parent: float
+    ) -> tuple[int, float]:
+        """Return (feature, threshold) of a node; feature == -1 if no split.
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=self._leaf_value(y))
-        if (
-            depth >= self.max_depth
-            or y.shape[0] < self.min_samples_split
-            or self._impurity(y) == 0.0
-        ):
-            return node
-        feature, threshold, gain = self._best_split(X, y)
-        if feature < 0 or gain <= 0.0:
-            return node
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
+        ``XT`` is the transposed training set and ``order`` the node's
+        ``(d, m)`` presorted row ids.
+        """
+        features = self._candidate_features()
+        m = order.shape[1]
+        # Positions i split after sorted row i; both sides need min_samples_leaf.
+        lo, hi = self.min_samples_leaf - 1, m - self.min_samples_leaf
+        if features.size == 0 or lo >= hi:
+            return -1, 0.0
+        rows = order[features]
+        xs = XT[features[:, None], rows]
+        gains = self._split_gains(y[rows], lo, hi, parent)
+        # ``b > a`` is ``b - a > 0`` for every IEEE pair, inf and nan included.
+        distinct = xs[:, lo + 1:hi + 1] > xs[:, lo:hi]
+        pick = _first_to_beat(np.where(distinct, gains, -np.inf).ravel())
+        if pick < 0:
+            return -1, 0.0
+        f, i = divmod(pick, hi - lo)
+        return int(features[f]), float((xs[f, lo + i] + xs[f, lo + i + 1]) / 2.0)
+
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> _Node:
+        """Build the tree depth-first, left subtree first."""
+        n, d = X.shape
+        XT = np.ascontiguousarray(X.T)
+        goes_left = np.empty(n, dtype=bool)
+        root = _Node()
+        presorted = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        stack = [(root, np.arange(n), presorted, 0)]
+        while stack:
+            node, rows, order, depth = stack.pop()
+            ys = y[rows] if depth else y
+            node.value = self._leaf_value(ys)
+            if depth >= self.max_depth or rows.size < self.min_samples_split:
+                continue
+            parent = self._impurity(ys)
+            if parent == 0.0:
+                continue
+            feature, threshold = self._best_split(XT, y, order, parent)
+            if feature < 0:
+                continue
+            mask = XT[feature, rows] <= threshold
+            goes_left[rows] = mask
+            sorted_left = goes_left[order]
+            node.feature, node.threshold = feature, threshold
+            node.left, node.right = _Node(), _Node()
+            stack.append((node.right, rows[~mask], order[~sorted_left].reshape(d, -1), depth + 1))
+            stack.append((node.left, rows[mask], order[sorted_left].reshape(d, -1), depth + 1))
+        return root
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -137,14 +209,11 @@ class _BaseTree:
         if X.shape[0] == 0:
             raise TrainingError("cannot fit a tree on an empty dataset")
         self.n_features_ = X.shape[1]
-        self._prepare_targets(y)
-        self.root = self._build(X, self._encoded_targets(y), depth=0)
+        self.root = self._grow(X, self._encoded_targets(y))
         return self
 
-    def _prepare_targets(self, y: np.ndarray) -> None:
-        """Subclass hook run once before building (e.g. class table)."""
-
     def _encoded_targets(self, y: np.ndarray) -> np.ndarray:
+        """Targets as the engine sees them; run once per fit."""
         return y
 
     # Inference ----------------------------------------------------------
@@ -169,57 +238,46 @@ class _BaseTree:
             stack.append((node.left, idx[mask]))
             stack.append((node.right, idx[~mask]))
 
+    def _walk(self):
+        """Yield ``(node, depth)`` for every node, depth first."""
+        stack = [] if self.root is None else [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            if not node.is_leaf:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+
     @property
     def depth(self) -> int:
         """Maximum root-to-leaf depth (0 for a stump)."""
-
-        def walk(node: "_Node | None") -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return max((depth for _, depth in self._walk()), default=0)
 
     @property
     def n_leaves(self) -> int:
         """Number of leaf nodes."""
-
-        def walk(node: "_Node | None") -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root)
+        return sum(node.is_leaf for node, _ in self._walk())
 
     @property
     def n_nodes(self) -> int:
         """Total node count."""
-
-        def walk(node: "_Node | None") -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self.root)
+        return sum(1 for _ in self._walk())
 
 
 class DecisionTreeClassifier(_BaseTree):
-    """Gini-impurity CART classifier over integer labels."""
+    """Gini-impurity CART classifier over integer labels.
+
+    Splits come from the shared presorted engine: the first split, in
+    feature then position order, whose gain beats the best so far by more
+    than ``1e-12``.  Trees are bit-identical to the per-node-argsort CART.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.classes_: np.ndarray | None = None
 
-    def _prepare_targets(self, y: np.ndarray) -> None:
-        self.classes_ = np.unique(y)
-
     def _encoded_targets(self, y: np.ndarray) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.classes_)}
-        return np.array([index[v] for v in y], dtype=int)
+        self.classes_ = np.unique(y)
+        return np.searchsorted(self.classes_, y)
 
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
         counts = np.bincount(y, minlength=len(self.classes_))
@@ -228,58 +286,25 @@ class DecisionTreeClassifier(_BaseTree):
     def _impurity(self, y: np.ndarray) -> float:
         return _gini(np.bincount(y, minlength=len(self.classes_)))
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
-        """Gini split via prefix-sum class counts.
+    def _split_gains(self, ys: np.ndarray, lo: int, hi: int, parent: float) -> np.ndarray:
+        """Gini gains from prefix class counts, one cumsum for every feature.
 
-        The base implementation re-bincounts both children at every
-        candidate threshold — O(n) numpy calls per position.  Here a
-        one-hot cumulative sum yields every left/right class-count table
-        in one vectorized pass per feature, mirroring the
-        :class:`DecisionTreeRegressor` treatment.  This is the hot path
-        of :class:`~repro.bayesopt.surrogate.FeasibilityModel`, which
-        refits a forest of these trees on every model-guided suggest
-        once feasibility labels are mixed.  Selection keeps the base
-        rule: scan positions in order, accept only > 1e-12 improvements.
+        Counts are laid out class-major, ``(k, K, n)``, so the cumsum runs
+        along contiguous memory; :func:`_class_sum` adds the squared
+        class shares in the order ``np.sum`` takes along a class row.
         """
-        parent = self._impurity(y)
-        n = y.shape[0]
-        n_classes = len(self.classes_)
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for feature in self._candidate_features():
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
-            ys = y[order]
-            distinct = np.nonzero(np.diff(xs) > 0)[0]
-            if distinct.size == 0:
-                continue
-            left_n = distinct + 1
-            right_n = n - left_n
-            valid = (left_n >= self.min_samples_leaf) & (
-                right_n >= self.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), ys] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            counts_left = cum[distinct]                      # (m, K)
-            counts_right = cum[-1] - counts_left
-            p_left = counts_left / left_n[:, None]
-            p_right = counts_right / right_n[:, None]
-            gini_left = 1.0 - np.sum(p_left * p_left, axis=1)
-            gini_right = 1.0 - np.sum(p_right * p_right, axis=1)
-            gains = parent - (
-                left_n / n * gini_left + right_n / n * gini_right
-            )
-            for idx in np.nonzero(valid)[0]:
-                if gains[idx] > best_gain + 1e-12:
-                    best_gain = float(gains[idx])
-                    best_feature = int(feature)
-                    i = int(distinct[idx])
-                    best_threshold = float((xs[i] + xs[i + 1]) / 2.0)
-        return best_feature, best_threshold, best_gain
+        n = ys.shape[1]
+        left_n = np.arange(lo + 1, hi + 1, dtype=float)
+        right_n = n - left_n
+        labels = np.arange(len(self.classes_))[:, None]
+        cum = (ys[:, None, :] == labels).cumsum(axis=2, dtype=np.int32)  # < 2**31 rows
+        counts_left = cum[:, :, lo:hi]
+        counts_right = cum[:, :, -1:] - counts_left
+        p_left = counts_left / left_n
+        p_right = counts_right / right_n
+        gini_left = 1.0 - _class_sum(p_left * p_left)
+        gini_right = 1.0 - _class_sum(p_right * p_right)
+        return parent - (left_n / n * gini_left + right_n / n * gini_right)
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-class probabilities: leaf class counts, normalized."""
@@ -296,7 +321,11 @@ class DecisionTreeClassifier(_BaseTree):
 
 
 class DecisionTreeRegressor(_BaseTree):
-    """Variance-reduction CART regressor."""
+    """Variance-reduction CART regressor.
+
+    Same presorted engine and tie rule as :class:`DecisionTreeClassifier`;
+    trees are bit-identical to the per-node-argsort CART.
+    """
 
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
         return np.array([float(np.mean(y))])
@@ -312,49 +341,20 @@ class DecisionTreeRegressor(_BaseTree):
         q = float(y @ y)
         return max(q / n - (s / n) ** 2, 0.0)
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
-        """Variance-reduction split via prefix sums.
-
-        Scoring every candidate threshold with ``np.var`` is O(n) numpy
-        calls per position; this override computes all left/right SSEs in
-        one vectorized pass per feature (O(n log n) total), which is the
-        hot path of the random-forest BO surrogate — every ``suggest``
-        refits a forest of these trees.  Selection keeps the base rule:
-        scan positions in order, accepting only > 1e-12 improvements.
-        """
-        parent = self._impurity(y)
-        n = y.shape[0]
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for feature in self._candidate_features():
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
-            ys = y[order]
-            distinct = np.nonzero(np.diff(xs) > 0)[0]
-            if distinct.size == 0:
-                continue
-            left_n = distinct + 1
-            right_n = n - left_n
-            valid = (left_n >= self.min_samples_leaf) & (right_n >= self.min_samples_leaf)
-            if not valid.any():
-                continue
-            cum_s = np.cumsum(ys)
-            cum_q = np.cumsum(ys * ys)
-            s_left = cum_s[distinct]
-            q_left = cum_q[distinct]
-            s_right = cum_s[-1] - s_left
-            q_right = cum_q[-1] - q_left
-            var_left = np.maximum(q_left / left_n - (s_left / left_n) ** 2, 0.0)
-            var_right = np.maximum(q_right / right_n - (s_right / right_n) ** 2, 0.0)
-            gains = parent - (left_n * var_left + right_n * var_right) / n
-            for idx in np.nonzero(valid)[0]:
-                if gains[idx] > best_gain + 1e-12:
-                    best_gain = float(gains[idx])
-                    best_feature = int(feature)
-                    i = int(distinct[idx])
-                    best_threshold = float((xs[i] + xs[i + 1]) / 2.0)
-        return best_feature, best_threshold, best_gain
+    def _split_gains(self, ys: np.ndarray, lo: int, hi: int, parent: float) -> np.ndarray:
+        """Variance-reduction gains from prefix sums and sums of squares."""
+        n = ys.shape[1]
+        left_n = np.arange(lo + 1, hi + 1, dtype=float)
+        right_n = n - left_n
+        cum_s = ys.cumsum(axis=1)
+        cum_q = (ys * ys).cumsum(axis=1)
+        s_left = cum_s[:, lo:hi]
+        q_left = cum_q[:, lo:hi]
+        s_right = cum_s[:, -1:] - s_left
+        q_right = cum_q[:, -1:] - q_left
+        var_left = np.maximum(q_left / left_n - (s_left / left_n) ** 2, 0.0)
+        var_right = np.maximum(q_right / right_n - (s_right / right_n) ** 2, 0.0)
+        return parent - (left_n * var_left + right_n * var_right) / n
 
     def predict(self, X) -> np.ndarray:
         """Leaf-mean regression value for every row of ``X``."""

@@ -1,14 +1,30 @@
-"""The vectorized classifier split must match the base scan exactly."""
+"""The split engine must match the oracle's base scan exactly.
+
+``cart_oracle._BaseTree._best_split`` is the O(n^2) scan that re-scores
+both children at every split position; the engine's vectorised gains
+and tie rule must pick the same splits.
+"""
 
 import numpy as np
 import pytest
 
-from repro.ml.tree import DecisionTreeClassifier, _BaseTree
+import cart_oracle
+from repro.ml.tree import DecisionTreeClassifier
 
 
-def reference_split(clf, X, y):
-    """The base-class O(n^2) scan, bound to a classifier instance."""
-    return _BaseTree._best_split(clf, X, y)
+def reference_split(X, y, **params):
+    """The oracle's base-class scan on the root of a classifier fit."""
+    clf = cart_oracle.DecisionTreeClassifier(**params)
+    clf.n_features_ = X.shape[1]
+    clf._prepare_targets(y)
+    feature, threshold, _ = cart_oracle._BaseTree._best_split(clf, X, clf._encoded_targets(y))
+    return feature, threshold
+
+
+def engine_split(X, y, **params):
+    """The engine's root split of a depth-1 classifier fit."""
+    root = DecisionTreeClassifier(max_depth=1, **params).fit(X, y).root
+    return (-1, 0.0) if root.is_leaf else (root.feature, root.threshold)
 
 
 class TestVectorizedClassifierSplit:
@@ -22,25 +38,14 @@ class TestVectorizedClassifierSplit:
         if trial % 3 == 0:
             X = np.round(X, 1)  # force duplicate feature values (ties)
         y = rng.integers(0, k, size=n)
-        clf = DecisionTreeClassifier(
-            max_depth=6,
-            min_samples_leaf=int(rng.integers(1, 4)),
-            seed=1,
-        )
-        clf.n_features_ = d
-        clf._prepare_targets(y)
-        encoded = clf._encoded_targets(y)
-        assert clf._best_split(X, encoded) == reference_split(clf, X, encoded)
+        params = dict(min_samples_leaf=int(rng.integers(1, 4)), seed=1)
+        assert engine_split(X, y, **params) == reference_split(X, y, **params)
 
     def test_constant_feature_no_split(self):
         X = np.ones((10, 1))
         y = np.array([0, 1] * 5)
-        clf = DecisionTreeClassifier(seed=0)
-        clf.n_features_ = 1
-        clf._prepare_targets(y)
-        feature, _, gain = clf._best_split(X, clf._encoded_targets(y))
-        assert feature == -1
-        assert gain == 0.0
+        assert reference_split(X, y, seed=0) == (-1, 0.0)
+        assert engine_split(X, y, seed=0) == (-1, 0.0)
 
     def test_trained_trees_agree_end_to_end(self):
         rng = np.random.default_rng(42)
@@ -49,8 +54,8 @@ class TestVectorizedClassifierSplit:
 
         fast = DecisionTreeClassifier(max_depth=5, seed=3).fit(X, y)
 
-        slow = DecisionTreeClassifier(max_depth=5, seed=3)
-        slow._best_split = lambda a, b: _BaseTree._best_split(slow, a, b)
+        slow = cart_oracle.DecisionTreeClassifier(max_depth=5, seed=3)
+        slow._best_split = lambda a, b: cart_oracle._BaseTree._best_split(slow, a, b)
         slow.fit(X, y)
 
         grid = rng.normal(size=(500, 5))
