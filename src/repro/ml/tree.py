@@ -61,12 +61,13 @@ def _gini(counts: np.ndarray) -> float:
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
-    """Sum ``(k, K, m)`` over classes as ``np.sum`` adds a contiguous row.
+    """Sum ``(k, K, m)`` over classes to the floats ``np.sum`` gives a class row.
 
-    NumPy adds fewer than 8 terms left to right and more pairwise, so
-    wide rows go through a class-contiguous copy.
+    One or two terms add to the same float in any order, so binary labels
+    (the common case) take a single elementwise add.  More classes are
+    summed along a class-contiguous copy, the layout of a class row.
     """
-    if a.shape[1] < 8:
+    if a.shape[1] <= 2:
         return a.sum(axis=1)
     return np.ascontiguousarray(a.transpose(0, 2, 1)).sum(axis=-1)
 
@@ -290,8 +291,8 @@ class DecisionTreeClassifier(_BaseTree):
         """Gini gains from prefix class counts, one cumsum for every feature.
 
         Counts are laid out class-major, ``(k, K, n)``, so the cumsum runs
-        along contiguous memory; :func:`_class_sum` adds the squared
-        class shares in the order ``np.sum`` takes along a class row.
+        along contiguous memory; :func:`_class_sum` then adds each
+        position's squared class shares as the per-feature CART did.
         """
         n = ys.shape[1]
         left_n = np.arange(lo + 1, hi + 1, dtype=float)
