@@ -52,8 +52,8 @@ class BoundDataLoader:
     # Loader functions are usually closures over in-memory datasets, which
     # ``pickle`` cannot serialize.  A loader therefore pickles as its
     # *materialized dataset*: ``__getstate__`` forces the (cached) load and
-    # drops the function, so model specs travel to process-pool workers and
-    # shard subprocesses carrying concrete arrays instead of code.
+    # drops the function, so model specs travel to other processes carrying
+    # concrete arrays instead of code.
     def __getstate__(self) -> dict:
         self.load(name=self.__name__)
         return {"_fn": None, "_cache": self._cache, "__name__": self.__name__}

@@ -10,10 +10,12 @@ package implements that stack from scratch:
   surrogate models,
 * :mod:`repro.bayesopt.acquisition` — EI, UCB, probability of feasibility,
 * :mod:`repro.bayesopt.optimizer` — the optimization loop,
-* :mod:`repro.bayesopt.parallel` — batched evaluation over a worker pool,
-  bit-for-bit equivalent to the serial loop,
 * :mod:`repro.bayesopt.cache` — persistent config-keyed evaluation memo,
 * :mod:`repro.bayesopt.results` — evaluation history and regret curves.
+
+Each loop runs serially.  A search runs in parallel one level up, by
+sharding its (model, family, start) loops across workers with
+:func:`repro.distrib.run_sharded`.
 """
 
 from repro.bayesopt.acquisition import (
@@ -21,9 +23,8 @@ from repro.bayesopt.acquisition import (
     probability_of_feasibility,
     upper_confidence_bound,
 )
-from repro.bayesopt.cache import CachedObjective, EvaluationCache
+from repro.bayesopt.cache import EvaluationCache
 from repro.bayesopt.optimizer import BayesianOptimizer, RandomSearchOptimizer
-from repro.bayesopt.parallel import ParallelEvaluator
 from repro.bayesopt.results import Evaluation, OptimizationResult
 from repro.bayesopt.space import (
     Categorical,
@@ -50,9 +51,7 @@ __all__ = [
     "probability_of_feasibility",
     "BayesianOptimizer",
     "RandomSearchOptimizer",
-    "ParallelEvaluator",
     "EvaluationCache",
-    "CachedObjective",
     "Evaluation",
     "OptimizationResult",
 ]

@@ -2,8 +2,7 @@
 
 Every candidate run in the Figure-2 flow pays the full train -> lower ->
 score cost, even when the optimizer resuggests a configuration it has
-already tried (common near the end of small discrete spaces, and by
-design in the speculative batches of :mod:`repro.bayesopt.parallel`).
+already tried (common near the end of small discrete spaces).
 :class:`EvaluationCache` memoizes those calls: configurations are keyed
 by a canonical string of their sorted items, hits return the stored
 :class:`~repro.bayesopt.results.Evaluation` instantly, and the whole
@@ -11,8 +10,8 @@ table can spill to a versioned JSON file so later searches warm-start
 from earlier ones (the JSON analogue of the binary trace format in
 :mod:`repro.netsim.persistence`).
 
-The cache is thread-safe: the parallel evaluation engine reads and
-writes it from pool workers.
+The cache is thread-safe, so searches running on threads (the
+in-process shard launcher) may share one instance.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import threading
 
 import numpy as np
 
-from repro.bayesopt.results import Evaluation, coerce_evaluation
+from repro.bayesopt.results import Evaluation
 from repro.errors import DesignSpaceError
 from repro.fsio import atomic_write_json
 
@@ -63,15 +62,16 @@ class EvaluationCache:
     Example::
 
         cache = EvaluationCache(path="spills/ad_dnn.json")  # loads if present
-        engine = ParallelEvaluator(space, objective, n_workers=4, cache=cache)
-        engine.run(budget=20)
+        evaluator = ModelEvaluator(spec, dataset, "svm", backend,
+                                   constraints, cache=cache)
+        BayesianOptimizer(space, evaluator.evaluate, seed=0).run(budget=20)
         cache.save()                       # atomic write-back to the path
         cache.load("spills/other.json")    # fold in another run (LWW merge)
 
     Instances pickle (the internal lock is dropped and re-created), so a
-    pre-populated cache can ride into a process-pool worker; note that a
-    pickled copy is a snapshot — entries added in the worker do not
-    propagate back by themselves.
+    pre-populated cache can ride into another process; note that a
+    pickled copy is a snapshot — entries added there do not propagate
+    back by themselves.
 
     Parameters
     ----------
@@ -207,33 +207,3 @@ class EvaluationCache:
                 count += 1
         return count
 
-
-class CachedObjective:
-    """Wrap any objective callable with an :class:`EvaluationCache`.
-
-    ``CachedObjective(f, cache)`` behaves like ``f`` but serves duplicate
-    configurations from the cache, so a BO loop (or a user probing configs
-    by hand) never pays twice for the same point.  ``calls`` counts the
-    underlying invocations actually made.
-
-    Example::
-
-        objective = CachedObjective(expensive_fn, EvaluationCache("memo.json"))
-        BayesianOptimizer(space, objective, seed=0).run(budget=20)
-        objective.cache.save()       # warm-start the next run
-        assert objective.calls <= 20  # duplicates were served from cache
-    """
-
-    def __init__(self, objective_fn, cache: "EvaluationCache | None" = None) -> None:
-        self.objective_fn = objective_fn
-        self.cache = cache if cache is not None else EvaluationCache()
-        self.calls = 0
-
-    def __call__(self, config: dict) -> Evaluation:
-        cached = self.cache.get(config)
-        if cached is not None:
-            return cached
-        self.calls += 1
-        outcome = coerce_evaluation(config, self.objective_fn(config))
-        self.cache.put(config, outcome)
-        return outcome

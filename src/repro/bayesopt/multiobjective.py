@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bayesopt.optimizer import BayesianOptimizer, _coerce_evaluation
-from repro.bayesopt.results import Evaluation, OptimizationResult
+from repro.bayesopt.optimizer import BayesianOptimizer
+from repro.bayesopt.results import Evaluation, OptimizationResult, coerce_evaluation
 from repro.bayesopt.scalarization import RandomScalarizer, pareto_front
 from repro.bayesopt.space import DesignSpace
 from repro.errors import DesignSpaceError
@@ -100,7 +100,7 @@ class MultiObjectiveBayesianOptimizer:
                 seed=derive(self._inner_seed, iteration),
             )
             config = inner.suggest(rescored, seen)
-            outcome = _coerce_evaluation(config, self.objective_fn(config))
+            outcome = coerce_evaluation(config, self.objective_fn(config))
             values = self._values_of(outcome)
             outcome.metrics["scalarization_weights"] = tuple(float(w) for w in weights)
             outcome.objective = self.scalarizer.combine(values)

@@ -13,8 +13,7 @@ treated as a feasible objective).
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +23,6 @@ from repro.bayesopt.space import DesignSpace
 from repro.bayesopt.surrogate import FeasibilityModel, RandomForestSurrogate
 from repro.errors import DesignSpaceError
 from repro.rng import as_generator, derive
-
-# Back-compat alias; the canonical helper lives in results.py so that the
-# cache and parallel modules can share it without importing this one.
-_coerce_evaluation = coerce_evaluation
 
 
 class RandomSearchOptimizer:
@@ -49,7 +44,7 @@ class RandomSearchOptimizer:
             raise DesignSpaceError(f"budget must be >= 1, got {budget}")
         result = OptimizationResult()
         for config in self.space.sample(self._rng, budget):
-            outcome = _coerce_evaluation(config, self.objective_fn(config))
+            outcome = coerce_evaluation(config, self.objective_fn(config))
             result.append(outcome)
         return result
 
@@ -94,14 +89,10 @@ class BayesianOptimizer:
         self.dedupe = bool(dedupe)
         self._rng = as_generator(seed)
         self._surrogate_seed = derive(self._rng, 0xBEEF)
-        # Models fitted by the latest model-guided suggest() — reused by the
-        # batch API to predict stand-in outcomes for speculative suggestions.
-        self._last_surrogate = None
-        self._last_feasibility = None
 
     # ------------------------------------------------------------------ #
     def _evaluate(self, config: dict, result: OptimizationResult, seen: set) -> None:
-        outcome = _coerce_evaluation(config, self.objective_fn(config))
+        outcome = coerce_evaluation(config, self.objective_fn(config))
         result.append(outcome)
         seen.add(self.space.key(config))
 
@@ -120,8 +111,6 @@ class BayesianOptimizer:
         """Return the next configuration to evaluate given history so far."""
         seen = seen if seen is not None else {self.space.key(e.config) for e in result.history}
         if len(result) < self.warmup:
-            self._last_surrogate = None
-            self._last_feasibility = None
             return self.space.sample(self._rng, 1)[0]
         X = self.space.encode_many([e.config for e in result.history])
         y = np.array([e.objective for e in result.history])
@@ -146,120 +135,7 @@ class BayesianOptimizer:
         scores = constrained_expected_improvement(
             mean, std, best_feasible, pof, xi=self.xi
         )
-        self._last_surrogate = surrogate
-        self._last_feasibility = feas_model
         return candidates[int(np.argmax(scores))]
-
-    # -- batch (ask/tell) API ------------------------------------------------
-    #
-    # One ``suggest`` call consumes a *fixed* amount of random state: the
-    # candidate-pool draws and the two surrogate-seed derivations happen
-    # unconditionally, so the RNG streams advance identically no matter what
-    # objective values the history holds.  That invariant is what lets a
-    # ``fork`` of this optimizer plan ahead with guessed ("constant liar")
-    # objectives while staying bit-for-bit aligned with the live loop — the
-    # parallel engine in :mod:`repro.bayesopt.parallel` is built on it.
-
-    def fork(self) -> "BayesianOptimizer":
-        """A speculative twin sharing space/objective but with cloned RNG state.
-
-        The twin can suggest ahead (e.g. a constant-liar batch) without
-        consuming this optimizer's random streams.
-
-        Example::
-
-            planner = opt.fork()
-            batch = planner.suggest_batch(result, n=4)   # opt's RNG untouched
-            assert batch[0] == opt.suggest(result)       # element 1 is exact
-        """
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        twin._rng = copy.deepcopy(self._rng)
-        twin._surrogate_seed = copy.deepcopy(self._surrogate_seed)
-        return twin
-
-    def snapshot(self) -> tuple:
-        """Capture the optimizer's random state (see :meth:`restore`).
-
-        Snapshots are deep copies, so they stay valid no matter how far
-        the live optimizer advances afterwards; together with
-        :meth:`restore` they give shard schedulers a way to hand a
-        search off between processes at a suggestion boundary.
-
-        Example::
-
-            state = opt.snapshot()
-            config_a = opt.suggest(result)     # advances the RNG streams
-            opt.restore(state)
-            assert opt.suggest(result) == config_a   # bit-identical replay
-        """
-        return (copy.deepcopy(self._rng), copy.deepcopy(self._surrogate_seed))
-
-    def restore(self, state: tuple) -> None:
-        """Adopt a random state captured by :meth:`snapshot`.
-
-        Used by the parallel engine to fast-forward past a suggestion whose
-        outcome is already known, without refitting the surrogate.
-        """
-        self._rng, self._surrogate_seed = copy.deepcopy(state[0]), copy.deepcopy(state[1])
-
-    def _stand_in(self, config: dict, best: "float | None") -> Evaluation:
-        """A guessed outcome for a not-yet-evaluated suggestion.
-
-        Uses the surrogate fitted by the suggest() that produced ``config``
-        (the "kriging believer" of batch BO) when available — its predicted
-        mean tracks the true outcome far better than a constant lie, which
-        keeps speculative batches aligned with the serial trajectory.
-        Falls back to the best feasible objective seen so far (the
-        "constant liar") during warmup.
-        """
-        if self._last_surrogate is not None:
-            x = self.space.encode(config)[None, :]
-            mean, _ = self._last_surrogate.predict(x)
-            pof = self._last_feasibility.predict_proba(x)
-            return Evaluation(
-                config=config,
-                objective=float(mean[0]),
-                feasible=bool(pof[0] >= 0.5),
-            )
-        return Evaluation(
-            config=config,
-            objective=best if best is not None else 0.0,
-            feasible=best is not None,
-        )
-
-    def iter_suggestions(
-        self, result: OptimizationResult, n: int, seen: "set | None" = None
-    ) -> Iterator[dict]:
-        """Yield ``n`` configurations via believer/liar batch acquisition.
-
-        Each suggestion is appended to a *virtual* copy of the history with
-        a guessed outcome (see :meth:`_stand_in`), so successive suggestions
-        account for the pending ones instead of piling onto one optimum.
-        The real history in ``result`` is never mutated; ``seen`` (when
-        given) is updated with the suggested keys, which keeps the batch
-        free of duplicates under ``dedupe`` once the warmup phase is over.
-        """
-        if n < 1:
-            raise DesignSpaceError(f"batch size must be >= 1, got {n}")
-        seen = seen if seen is not None else {self.space.key(e.config) for e in result.history}
-        virtual = OptimizationResult(history=list(result.history))
-        best = virtual.best_objective
-        for _ in range(n):
-            config = self.suggest(virtual, seen)
-            yield config
-            virtual.append(self._stand_in(config, best))
-            seen.add(self.space.key(config))
-
-    def suggest_batch(
-        self, result: OptimizationResult, n: int, seen: "set | None" = None
-    ) -> list[dict]:
-        """Return ``n`` configurations to evaluate concurrently (ask API).
-
-        Feed outcomes back by appending them to ``result`` in this order
-        (tell API); :meth:`run` remains the serial special case ``n=1``.
-        """
-        return list(self.iter_suggestions(result, n, seen))
 
     def run(self, budget: int) -> OptimizationResult:
         """Run ``budget`` evaluations (warmup + model-guided) and return history."""

@@ -101,15 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="deployment bundle directory")
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel evaluation workers (families search concurrently; "
-             "results are identical to --workers 1)",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None,
-        help="BO configurations evaluated per batch (default: --workers)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None,
         help="directory for persistent evaluation-cache JSON spills",
     )
@@ -1023,8 +1014,6 @@ def _sharded_main(args) -> int:
         budget=args.budget,
         seed=args.seed,
         starts=args.starts,
-        n_workers=args.workers,
-        batch_size=args.batch_size,
         cache_dir=args.cache_dir,
     )
     launcher_name = args.launcher or "inprocess"
@@ -1218,12 +1207,6 @@ def main(argv: "list | None" = None) -> int:
     if args.train and not args.test:
         print("error: --train requires --test", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch_size is not None and args.batch_size < 1:
-        print("error: --batch-size must be >= 1", file=sys.stderr)
-        return 2
     if args.shards < 1 or args.starts < 1:
         print("error: --shards and --starts must be >= 1", file=sys.stderr)
         return 2
@@ -1267,8 +1250,6 @@ def main(argv: "list | None" = None) -> int:
         platform,
         budget=args.budget,
         seed=args.seed,
-        n_workers=args.workers,
-        batch_size=args.batch_size,
         cache_dir=args.cache_dir,
     )
     print(report.summary())

@@ -31,8 +31,12 @@ Errors map onto status codes: a mutation racing an in-progress rollout
 is ``409 Conflict`` (:class:`DeployConflict`), a bad request —
 unknown version, malformed JSON, bad weights, a ``Content-Length``
 that is not plain digits, a body cut short by EOF — is ``400``, an
-unknown path is ``404``, anything unexpected is ``500``.  Every response body is
-JSON; errors carry ``{"error": ..., "detail": ...}``.
+unknown path is ``404``, anything unexpected is ``500``.  A request
+that is not fully read (request line, headers and body) within
+:data:`READ_DEADLINE_S` is ``408``, so a stalled client cannot hold a
+handler open; more than :data:`MAX_HEADER_LINES` header lines is
+``431``.  Every response body is JSON; errors carry
+``{"error": ..., "detail": ...}``.
 
 Example::
 
@@ -56,12 +60,75 @@ from repro.obs.trace import get_tracer
 #: Cap on accepted request bodies; control messages are tiny.
 MAX_BODY = 1 << 20
 
+#: Seconds a client gets to send its whole request before a ``408``.
+READ_DEADLINE_S = 10.0
+
+#: Cap on header lines per request; one more is a ``431``.
+MAX_HEADER_LINES = 100
+
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                405: "Method Not Allowed", 409: "Conflict",
-                413: "Payload Too Large", 500: "Internal Server Error"}
+                405: "Method Not Allowed", 408: "Request Timeout",
+                409: "Conflict", 413: "Payload Too Large",
+                431: "Request Header Fields Too Large",
+                500: "Internal Server Error"}
+
+
+class _Reject(Exception):
+    """A request refused while it is read; carries the error response."""
+
+    def __init__(self, status: int, error: str, detail: str) -> None:
+        super().__init__(detail)
+        self.response = (status, {"error": error, "detail": detail})
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple:
+    """Read one request; return ``(method, path, payload)``.
+
+    Raises :class:`_Reject` with the error response for a malformed one.
+    """
+    try:
+        request_line = await reader.readline()
+    except (ConnectionError, asyncio.LimitOverrunError):
+        raise _Reject(400, "bad-request", "unreadable") from None
+    parts = request_line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise _Reject(400, "bad-request", "malformed line")
+    method, path = parts[0].upper(), parts[1].split("?", 1)[0]
+
+    length = 0
+    headers = 0
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        headers += 1
+        if headers > MAX_HEADER_LINES:
+            raise _Reject(431, "headers-too-large",
+                          f"more than {MAX_HEADER_LINES} header lines")
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            if not value.strip().isdecimal():  # digits only: no sign
+                raise _Reject(400, "bad-request", "bad content-length")
+            length = int(value)
+    if length > MAX_BODY:
+        raise _Reject(413, "too-large", f"body > {MAX_BODY}")
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise _Reject(400, "bad-request",
+                      "body shorter than content-length") from None
+    if not body:
+        return method, path, {}
+    try:
+        payload = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise _Reject(400, "bad-json", str(exc)) from None
+    if not isinstance(payload, dict):
+        raise _Reject(400, "bad-json", "body must be a JSON object")
+    return method, path, payload
 
 
 def _response(status: int, doc,
@@ -138,44 +205,17 @@ class ControlServer:
                 pass
 
     async def _respond(self, reader: asyncio.StreamReader):
-        """Parse one request, dispatch it, and return (status, doc)."""
+        """Read one request within the deadline, dispatch it, and
+        return (status, doc)."""
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return 400, {"error": "bad-request", "detail": "unreadable"}
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, {"error": "bad-request", "detail": "malformed line"}
-        method, path = parts[0].upper(), parts[1].split("?", 1)[0]
-
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                if not value.strip().isdecimal():  # digits only: no sign
-                    return 400, {"error": "bad-request",
-                                 "detail": "bad content-length"}
-                length = int(value)
-        if length > MAX_BODY:
-            return 413, {"error": "too-large", "detail": f"body > {MAX_BODY}"}
-        try:
-            body = await reader.readexactly(length) if length else b""
-        except asyncio.IncompleteReadError:
-            return 400, {"error": "bad-request",
-                         "detail": "body shorter than content-length"}
-        if body:
-            try:
-                payload = json.loads(body)
-            except json.JSONDecodeError as exc:
-                return 400, {"error": "bad-json", "detail": str(exc)}
-            if not isinstance(payload, dict):
-                return 400, {"error": "bad-json",
-                             "detail": "body must be a JSON object"}
-        else:
-            payload = {}
+            method, path, payload = await asyncio.wait_for(
+                _read_request(reader), READ_DEADLINE_S
+            )
+        except asyncio.TimeoutError:
+            return 408, {"error": "timeout",
+                         "detail": f"request not read within {READ_DEADLINE_S} s"}
+        except _Reject as exc:
+            return exc.response
 
         try:
             return await self._dispatch(method, path, payload)

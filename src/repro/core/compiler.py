@@ -4,7 +4,8 @@ Implements the paper's Figure-2 flow per scheduled model:
 
 1. candidate models selection (prefilter algorithm families),
 2. automated design-space creation,
-3. parallel candidate runs — one constrained-BO loop per family,
+3. candidate runs — one constrained-BO loop per family (run in
+   parallel by sharding them with :func:`repro.distrib.run_sharded`),
 4. final model selection & code generation (re-train the incumbent and
    emit backend sources),
 
@@ -17,12 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.alchemy.platforms import PlatformSpec
 from repro.bayesopt.cache import EvaluationCache
 from repro.bayesopt.optimizer import BayesianOptimizer
-from repro.bayesopt.parallel import ParallelEvaluator
 from repro.core.candidates import select_candidates
 from repro.core.designspace_builder import build_design_space
 from repro.core.evaluator import ModelEvaluator
@@ -113,19 +112,16 @@ def _search_one_family(
     warmup: int,
     train_epochs: int,
     seed: int,
-    n_workers: int,
-    batch_size: "int | None",
     cache_dir: "str | None",
-    executor: str = "thread",
     family_seed=None,
 ):
     """One constrained-BO loop for one algorithm family.
 
-    Returns ``(engine, evaluator, result)``.  The family seed is derived
-    from the family index (not the execution order), so results are
-    identical no matter how many families run concurrently; a shard
-    scheduler may pass an explicit ``family_seed`` (e.g. a multi-start
-    salt) to override the default derivation.
+    Returns ``(evaluator, result)``.  The family seed is derived from the
+    family index (not the execution order), so results are identical no
+    matter where or in which order the families run; a shard scheduler
+    may pass an explicit ``family_seed`` (e.g. a multi-start salt) to
+    override the default derivation.
     """
     limits = constraints.get("resources", {})
     space = build_design_space(algorithm, dataset, backend, limits)
@@ -148,28 +144,15 @@ def _search_one_family(
     )
     if family_seed is None:
         family_seed = family_search_seed(seed, index)
-    if n_workers > 1 or (batch_size is not None and batch_size > 1):
-        engine = ParallelEvaluator(
-            space,
-            evaluator.evaluate,
-            n_workers=n_workers,
-            batch_size=batch_size,
-            warmup=min(warmup, budget),
-            seed=family_seed,
-            cache=cache,
-            executor=executor,
-        )
-    else:
-        engine = BayesianOptimizer(
-            space,
-            evaluator.evaluate,
-            warmup=min(warmup, budget),
-            seed=family_seed,
-        )
-    result = engine.run(budget)
+    result = BayesianOptimizer(
+        space,
+        evaluator.evaluate,
+        warmup=min(warmup, budget),
+        seed=family_seed,
+    ).run(budget)
     if cache_path is not None:
         cache.save()
-    return engine, evaluator, result
+    return evaluator, result
 
 
 def pick_winner(candidates: list, results: dict, model_name: str, budget: int):
@@ -286,47 +269,24 @@ def _search_one_model(
     warmup: int,
     train_epochs: int,
     seed: int,
-    n_workers: int = 1,
-    batch_size: "int | None" = None,
     cache_dir: "str | None" = None,
-    executor: str = "thread",
 ) -> ModelReport:
     """Run candidate selection + BO for one model; build its final report.
 
-    With ``n_workers > 1`` the candidate algorithm families run
-    concurrently (the paper's "parallel candidate runs").  The worker
-    budget is divided across the concurrent families — ``n_workers``
-    bounds the total evaluation concurrency, not the per-family width —
-    so the compile never oversubscribes the machine.
+    The candidate algorithm families search one after another; sharded
+    runs (:func:`repro.distrib.run_sharded`) spread them across workers
+    instead and reproduce this trajectory exactly.
     """
     limits = constraints.get("resources", {})
     candidates = select_candidates(model_spec, dataset, backend, limits)
-    family_slots = min(n_workers, len(candidates))
-    per_family_workers = max(1, n_workers // family_slots) if family_slots else n_workers
-
-    def search(indexed):
-        index, algorithm = indexed
-        return _search_one_family(
+    evaluators: dict = {}
+    candidate_results: dict = {}
+    for index, algorithm in enumerate(candidates):
+        evaluators[algorithm], candidate_results[algorithm] = _search_one_family(
             model_spec, dataset, backend, constraints, algorithm, index,
             budget=budget, warmup=warmup, train_epochs=train_epochs, seed=seed,
-            n_workers=per_family_workers, batch_size=batch_size,
-            cache_dir=cache_dir, executor=executor,
+            cache_dir=cache_dir,
         )
-
-    if n_workers > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=family_slots) as pool:
-            searched = list(pool.map(search, enumerate(candidates)))
-    else:
-        searched = [search(item) for item in enumerate(candidates)]
-
-    candidate_results = {
-        algorithm: result
-        for algorithm, (_, _, result) in zip(candidates, searched)
-    }
-    evaluators = {
-        algorithm: evaluator
-        for algorithm, (_, evaluator, _) in zip(candidates, searched)
-    }
     # Final model selection & code generation: deterministically rebuild
     # the incumbent and emit its backend sources.
     return winning_model_report(
@@ -411,10 +371,7 @@ def generate(
     train_epochs: int = 30,
     seed: int = 0,
     fuse: bool = False,
-    n_workers: int = 1,
-    batch_size: "int | None" = None,
     cache_dir: "str | None" = None,
-    executor: str = "thread",
 ) -> CompileReport:
     """Compile every model scheduled on ``platform`` (the paper's
     ``homunculus.generate``).
@@ -430,23 +387,14 @@ def generate(
         global determinism root; every training/search RNG derives from it.
     fuse:
         attempt model fusion across scheduled models with shared features.
-    n_workers:
-        evaluation concurrency: algorithm families search in parallel and
-        each family batches candidate evaluations over a worker pool.
-        ``1`` (the default) is the fully serial flow; any value produces
-        the same search trajectories for a given ``seed`` (evaluations
-        are deterministic functions of their configuration).
-    batch_size:
-        configurations suggested per batched BO round (default:
-        ``n_workers``).
     cache_dir:
         directory for per-family JSON evaluation-cache spills; reused by
         later runs to warm-start identical configurations.
-    executor:
-        ``"thread"`` (default) or ``"process"`` for the evaluation pool
-        inside each family search.  Process pools sidestep the GIL for
-        pure-Python objectives; model specs, evaluators, and caches all
-        pickle, so either executor produces identical results.
+
+    The search runs serially in this process.  To spread it over
+    workers or machines, describe it as a
+    :class:`~repro.distrib.runspec.RunSpec` and call
+    :func:`repro.distrib.run_sharded`, which produces the same report.
     """
     if not isinstance(platform, PlatformSpec):
         raise SpecificationError("generate() expects a PlatformSpec")
@@ -454,14 +402,6 @@ def generate(
         raise SpecificationError("no models scheduled; call platform.schedule(...)")
     if budget < 1:
         raise SpecificationError(f"budget must be >= 1, got {budget}")
-    if n_workers < 1:
-        raise SpecificationError(f"n_workers must be >= 1, got {n_workers}")
-    if batch_size is not None and batch_size < 1:
-        raise SpecificationError(f"batch_size must be >= 1, got {batch_size}")
-    if executor not in ("thread", "process"):
-        raise SpecificationError(
-            f"executor must be 'thread' or 'process', got {executor!r}"
-        )
     if cache_dir is not None:
         # Fail before the search runs, not when the first spill saves.
         try:
@@ -483,9 +423,6 @@ def generate(
             warmup=warmup,
             train_epochs=train_epochs,
             seed=model_search_seed(seed, index),
-            n_workers=n_workers,
-            batch_size=batch_size,
             cache_dir=cache_dir,
-            executor=executor,
         )
     return compose_report(platform, reports, seed)

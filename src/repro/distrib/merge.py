@@ -20,9 +20,9 @@ Three independent merges happen here, one per artifact kind:
   configuration, conflicting writers always carry equal values and the
   merged cache is shard-count-invariant.
 
-Per-shard :attr:`~repro.bayesopt.parallel.ParallelEvaluator.stats`
-counters are summed into a run-level view alongside per-shard wall
-clock, so an operator sees where a fleet spent its time.
+Per-shard unit counts, evaluation counts and wall clock are gathered
+into a run-level view, so an operator sees where a fleet spent its
+time.
 """
 
 from __future__ import annotations
@@ -119,16 +119,11 @@ def merge_spills(spill_paths: list, out_path: str) -> EvaluationCache:
 
 
 def aggregate_stats(shard_results: list) -> dict:
-    """Run-level statistics: summed engine counters + per-shard timing."""
-    engine_totals: dict = {}
+    """Run-level statistics: unit counts and per-shard timing."""
     per_shard = []
     units = 0
     for shard in shard_results:
-        unit_stats = [u.stats for u in shard.units if u.stats]
         units += len(shard.units)
-        for stats in unit_stats:
-            for key, value in stats.items():
-                engine_totals[key] = engine_totals.get(key, 0) + value
         per_shard.append(
             {
                 "shard": shard.index,
@@ -142,7 +137,6 @@ def aggregate_stats(shard_results: list) -> dict:
         "shards": len(shard_results),
         "units": units,
         "per_shard": per_shard,
-        "engine": engine_totals,
         "critical_path_s": max((s["elapsed_s"] for s in per_shard), default=0.0),
         "total_work_s": sum(s["elapsed_s"] for s in per_shard),
     }

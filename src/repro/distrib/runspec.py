@@ -46,6 +46,7 @@ from repro.alchemy.platforms import PlatformSpec
 from repro.datasets import load_botnet, load_csv_dataset, load_iot, load_nslkdd
 from repro.datasets.base import Dataset
 from repro.errors import SpecificationError
+from repro.wire import Fields
 
 __all__ = [
     "APP_LOADERS",
@@ -161,15 +162,29 @@ class DatasetRef:
 
     @staticmethod
     def from_dict(doc: dict) -> "DatasetRef":
-        kind = doc.get("kind")
+        """Rebuild a reference; a malformed ``doc`` raises
+        :class:`SpecificationError` naming the field."""
+        every_key = {key for keys in _REF_KEYS.values() for key in keys}
+        kind = Fields(doc, "", every_key).text("kind")
+        if kind not in _REF_KEYS:
+            raise SpecificationError(f"unknown DatasetRef kind {kind!r}")
+        fields = Fields(doc, "", _REF_KEYS[kind])
         if kind == "app":
-            return DatasetRef.for_app(doc["app"], **doc.get("kwargs", {}))
+            return DatasetRef.for_app(fields.text("app"),
+                                      **fields.mapping("kwargs", {}))
         if kind == "csv":
-            return DatasetRef.for_csv(doc["train"], doc["test"],
-                                      name=doc.get("name", "csv-dataset"))
-        if kind == "npz":
-            return DatasetRef.for_npz(doc["path"])
-        raise SpecificationError(f"unknown DatasetRef kind {kind!r}")
+            return DatasetRef.for_csv(fields.text("train"), fields.text("test"),
+                                      name=fields.text("name", "csv-dataset",
+                                                       none=True))
+        return DatasetRef.for_npz(fields.text("path"))
+
+
+#: The keys each :class:`DatasetRef` kind's wire document may hold.
+_REF_KEYS = {
+    "app": ("kind", "app", "kwargs"),
+    "csv": ("kind", "train", "test", "name"),
+    "npz": ("kind", "path"),
+}
 
 
 @dataclass
@@ -224,13 +239,17 @@ class ModelEntry:
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelEntry":
+        """Rebuild an entry; a malformed ``doc`` raises
+        :class:`SpecificationError` naming the field."""
+        fields = Fields(doc, "", ("name", "dataset", "metric", "algorithms",
+                                  "throughput", "seed"))
         return ModelEntry(
-            name=doc["name"],
-            dataset=DatasetRef.from_dict(doc["dataset"]),
-            metric=doc.get("metric", "f1"),
-            algorithms=tuple(doc.get("algorithms", ())),
-            throughput=doc.get("throughput"),
-            seed=doc.get("seed"),
+            name=fields.text("name"),
+            dataset=fields.nested("dataset", DatasetRef.from_dict),
+            metric=fields.text("metric", "f1"),
+            algorithms=fields.names("algorithms", ()),
+            throughput=fields.number("throughput", None, none=True),
+            seed=fields.integer("seed", None, none=True),
         )
 
 
@@ -241,8 +260,7 @@ class RunSpec:
     The scalar knobs mirror :func:`repro.generate`; ``starts`` is the
     distributed extension — each (model, family) search is repeated with
     ``starts`` independently seeded multi-start trajectories, and the
-    merge keeps the best.  ``n_workers``/``batch_size``/``executor``
-    apply *within* each shard.
+    merge keeps the best.
 
     Model fusion is deliberately unsupported: fusing crosses model
     boundaries, which is exactly the coupling sharding removes.
@@ -257,10 +275,7 @@ class RunSpec:
     train_epochs: int = 30
     seed: int = 0
     starts: int = 1
-    n_workers: int = 1
-    batch_size: "int | None" = None
     cache_dir: "str | None" = None
-    executor: str = "thread"
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -272,8 +287,6 @@ class RunSpec:
             raise SpecificationError(f"budget must be >= 1, got {self.budget}")
         if self.starts < 1:
             raise SpecificationError(f"starts must be >= 1, got {self.starts}")
-        if self.n_workers < 1:
-            raise SpecificationError(f"n_workers must be >= 1, got {self.n_workers}")
 
     # -- reconstruction -----------------------------------------------------
     def build_platform(self, datasets: "dict | None" = None) -> PlatformSpec:
@@ -308,26 +321,26 @@ class RunSpec:
             "train_epochs": self.train_epochs,
             "seed": self.seed,
             "starts": self.starts,
-            "n_workers": self.n_workers,
-            "batch_size": self.batch_size,
             "cache_dir": self.cache_dir,
-            "executor": self.executor,
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "RunSpec":
+        """Rebuild a spec; a malformed ``doc`` (missing key, wrong type,
+        unknown key) raises :class:`SpecificationError` naming the field."""
+        fields = Fields(doc, "run spec", (
+            "target", "models", "performance", "resources", "budget",
+            "warmup", "train_epochs", "seed", "starts", "cache_dir",
+        ))
         return RunSpec(
-            target=doc["target"],
-            models=[ModelEntry.from_dict(m) for m in doc["models"]],
-            performance=dict(doc.get("performance", {})),
-            resources=dict(doc.get("resources", {})),
-            budget=int(doc.get("budget", 20)),
-            warmup=int(doc.get("warmup", 5)),
-            train_epochs=int(doc.get("train_epochs", 30)),
-            seed=int(doc.get("seed", 0)),
-            starts=int(doc.get("starts", 1)),
-            n_workers=int(doc.get("n_workers", 1)),
-            batch_size=doc.get("batch_size"),
-            cache_dir=doc.get("cache_dir"),
-            executor=doc.get("executor", "thread"),
+            target=fields.text("target"),
+            models=fields.each("models", ModelEntry.from_dict),
+            performance=fields.numbers("performance", {}),
+            resources=fields.numbers("resources", {}),
+            budget=fields.integer("budget", 20),
+            warmup=fields.integer("warmup", 5),
+            train_epochs=fields.integer("train_epochs", 30),
+            seed=fields.integer("seed", 0),
+            starts=fields.integer("starts", 1),
+            cache_dir=fields.text("cache_dir", None, none=True),
         )

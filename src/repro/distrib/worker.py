@@ -5,8 +5,8 @@ One :class:`~repro.distrib.scheduler.ShardSpec` in, one
 :class:`~repro.distrib.runspec.RunSpec`, runs each work unit through the
 *same* family-search routine the serial compiler uses (seeded by
 indices, so trajectories are machine-independent), and serializes the
-evaluation histories, per-unit Pareto fronts, engine statistics, and
-cache-spill locations for the driver to merge.
+evaluation histories, per-unit Pareto fronts, and cache-spill
+locations for the driver to merge.
 
 Runs in three modes:
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 from repro.alchemy.platforms import PlatformSpec
 from repro.bayesopt.cache import _jsonable
-from repro.bayesopt.parallel import ParallelEvaluator
 from repro.bayesopt.results import Evaluation, OptimizationResult
 from repro.bayesopt.scalarization import pareto_front
 from repro.core.compiler import _search_one_family
@@ -187,7 +186,6 @@ class UnitResult:
     start: int
     history: list = field(default_factory=list)  # [Evaluation]
     front: list = field(default_factory=list)    # indices into history
-    stats: "dict | None" = None                  # ParallelEvaluator.stats
     spill: "str | None" = None                   # cache spill path, if any
     elapsed_s: float = 0.0
 
@@ -204,7 +202,6 @@ class UnitResult:
             "start": self.start,
             "history": [evaluation_to_dict(e) for e in self.history],
             "front": list(self.front),
-            "stats": self.stats,
             "spill": self.spill,
             "elapsed_s": self.elapsed_s,
         }
@@ -219,7 +216,6 @@ class UnitResult:
             start=int(doc.get("start", 0)),
             history=[evaluation_from_dict(e) for e in doc.get("history", [])],
             front=[int(i) for i in doc.get("front", [])],
-            stats=doc.get("stats"),
             spill=doc.get("spill"),
             elapsed_s=float(doc.get("elapsed_s", 0.0)),
         )
@@ -326,7 +322,7 @@ def run_shard(
             algorithm=unit.algorithm,
             start=unit.start,
         ):
-            engine, evaluator, result = _search_one_family(
+            evaluator, result = _search_one_family(
                 model,
                 dataset,
                 backend,
@@ -337,10 +333,7 @@ def run_shard(
                 warmup=spec.warmup,
                 train_epochs=spec.train_epochs,
                 seed=model_seed,
-                n_workers=spec.n_workers,
-                batch_size=spec.batch_size,
                 cache_dir=spill_dir,
-                executor=spec.executor,
                 family_seed=family_seed,
             )
         results.append(
@@ -355,23 +348,10 @@ def run_shard(
                     unit_front_indices(result.history, resource_key)
                     if resource_key else []
                 ),
-                stats=(
-                    dict(engine.stats)
-                    if isinstance(engine, ParallelEvaluator) else None
-                ),
                 spill=evaluator.cache.path if evaluator.cache is not None else None,
                 elapsed_s=time.perf_counter() - unit_started,
             )
         )
-    if registry is not None:
-        bo = registry.counter(
-            "repro_bo_events_total",
-            help="parallel-evaluator events summed across units",
-            labels=("event",),
-        )
-        for unit_result in results:
-            for event, count in (unit_result.stats or {}).items():
-                bo.labels(event=event).inc(count)
     return ShardResult(
         index=shard.index,
         n_shards=shard.n_shards,

@@ -59,7 +59,6 @@ def _make_model(app: str, dataset, algorithms=("dnn",)):
 # Table 2: hand-tuned baselines vs Homunculus-generated models on Taurus
 # --------------------------------------------------------------------------- #
 def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
-                            n_workers: int, batch_size: "int | None",
                             shards: int, launcher: "str | None",
                             shard_dir: "str | None",
                             max_retries: int = 0) -> dict:
@@ -99,8 +98,6 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
         resources={"rows": 16, "cols": 16},
         budget=budget,
         seed=seed,
-        n_workers=n_workers,
-        batch_size=batch_size,
     )
     merged = run_sharded(
         spec,
@@ -127,7 +124,6 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
 
 
 def run_table2(budget: int = 15, seed: int = 0, quick: bool = True, apps=APPS,
-               n_workers: int = 1, batch_size: "int | None" = None,
                shards: int = 1, launcher: "str | None" = None,
                shard_dir: "str | None" = None,
                max_retries: int = 0) -> list:
@@ -142,8 +138,7 @@ def run_table2(budget: int = 15, seed: int = 0, quick: bool = True, apps=APPS,
     sharded_reports = None
     if shards > 1 or launcher is not None:
         sharded_reports = _table2_sharded_reports(
-            apps, budget, seed, quick, n_workers, batch_size,
-            shards, launcher, shard_dir, max_retries,
+            apps, budget, seed, quick, shards, launcher, shard_dir, max_retries,
         )
     backend = TaurusBackend(TaurusGrid(16, 16))
     rows = []
@@ -177,8 +172,7 @@ def run_table2(budget: int = 15, seed: int = 0, quick: bool = True, apps=APPS,
                 resources={"rows": 16, "cols": 16},
             )
             platform.schedule(_make_model(app, dataset))
-            report = repro.generate(platform, budget=budget, seed=seed,
-                                    n_workers=n_workers, batch_size=batch_size)
+            report = repro.generate(platform, budget=budget, seed=seed)
         best = report.best
         rows.append(
             {
@@ -212,8 +206,7 @@ def format_table2(rows: list) -> str:
 # --------------------------------------------------------------------------- #
 # Table 3: resource scaling under different app-chaining strategies
 # --------------------------------------------------------------------------- #
-def run_table3(budget: int = 10, seed: int = 0, quick: bool = True,
-               n_workers: int = 1, batch_size: "int | None" = None) -> list:
+def run_table3(budget: int = 10, seed: int = 0, quick: bool = True) -> list:
     """Chain four copies of the AD DNN under the paper's three strategies.
 
     Copies of one model share a placed pipeline (the chaining glue folds
@@ -226,8 +219,7 @@ def run_table3(budget: int = 10, seed: int = 0, quick: bool = True,
         resources={"rows": 16, "cols": 16},
     )
     platform.schedule(model)
-    report = repro.generate(platform, budget=budget, seed=seed,
-                            n_workers=n_workers, batch_size=batch_size)
+    report = repro.generate(platform, budget=budget, seed=seed)
     best = report.best
     # ``>>`` is the chaining-safe sequential operator (Python would parse
     # chained ``>`` as a comparison chain); notation strings keep the
@@ -263,8 +255,7 @@ def format_table3(rows: list) -> str:
 # --------------------------------------------------------------------------- #
 # Table 4: model fusion
 # --------------------------------------------------------------------------- #
-def run_table4(budget: int = 10, seed: int = 0, quick: bool = True,
-               n_workers: int = 1, batch_size: "int | None" = None) -> list:
+def run_table4(budget: int = 10, seed: int = 0, quick: bool = True) -> list:
     """Split the AD dataset in two; compare split models vs the fused one.
 
     Split models each get half the switch (an 8x16 grid); the fused model
@@ -283,8 +274,7 @@ def run_table4(budget: int = 10, seed: int = 0, quick: bool = True,
             resources={"rows": rows_cols[0], "cols": rows_cols[1]},
         )
         platform.schedule(_make_model("ad", ds))
-        report = repro.generate(platform, budget=budget, seed=seed,
-                            n_workers=n_workers, batch_size=batch_size)
+        report = repro.generate(platform, budget=budget, seed=seed)
         best = report.best
         rows.append(
             {
@@ -388,8 +378,7 @@ def format_table5(rows: list) -> str:
 # --------------------------------------------------------------------------- #
 # Figure 4: BO regret for the AD DNN
 # --------------------------------------------------------------------------- #
-def run_fig4(budget: int = 20, seed: int = 0, quick: bool = True,
-             n_workers: int = 1, batch_size: "int | None" = None) -> dict:
+def run_fig4(budget: int = 20, seed: int = 0, quick: bool = True) -> dict:
     """Per-iteration F1 (the dots) plus the incumbent curve."""
     dataset = _load_app("ad", quick, seed)
     platform = Platforms.Taurus().constrain(
@@ -397,8 +386,7 @@ def run_fig4(budget: int = 20, seed: int = 0, quick: bool = True,
         resources={"rows": 16, "cols": 16},
     )
     platform.schedule(_make_model("ad", dataset))
-    report = repro.generate(platform, budget=budget, seed=seed,
-                            n_workers=n_workers, batch_size=batch_size)
+    report = repro.generate(platform, budget=budget, seed=seed)
     optimization = report.best.optimization
     return {
         "iterations": list(range(1, len(optimization.history) + 1)),
@@ -463,8 +451,7 @@ def format_fig6(result: dict) -> str:
 # Figure 7: KMeans V-measure under varying MAT budgets
 # --------------------------------------------------------------------------- #
 def run_fig7(budget: int = 12, seed: int = 0, quick: bool = True,
-             mat_budgets=(1, 2, 3, 4, 5),
-             n_workers: int = 1, batch_size: "int | None" = None) -> dict:
+             mat_budgets=(1, 2, 3, 4, 5)) -> dict:
     """One Homunculus KMeans search per MAT budget (K1..K5).
 
     The operator-selected clustering features (packet size, protocol,
@@ -490,8 +477,7 @@ def run_fig7(budget: int = 12, seed: int = 0, quick: bool = True,
         )
         platform = Platforms.Tofino().constrain(resources={"mats": mats})
         platform.schedule(model)
-        report = repro.generate(platform, budget=budget, seed=seed,
-                            n_workers=n_workers, batch_size=batch_size)
+        report = repro.generate(platform, budget=budget, seed=seed)
         best = report.best
         series[f"KMeans{mats}"] = {
             "mats": mats,

@@ -37,8 +37,6 @@ def run_experiment(
     name: str,
     seed: int,
     quick: bool,
-    n_workers: int = 1,
-    batch_size: "int | None" = None,
     shards: int = 1,
     launcher: "str | None" = None,
     shard_dir: "str | None" = None,
@@ -46,20 +44,16 @@ def run_experiment(
 ) -> str:
     """Run one experiment and return its formatted text.
 
-    ``n_workers``/``batch_size`` — and the sharding knobs ``shards``/
-    ``launcher``/``shard_dir``/``max_retries`` — are
-    forwarded to experiments whose runners accept them (the ones driving
-    compiler searches); the search results are identical to a serial
-    run, only faster (and, with retries, crash-tolerant).
+    The sharding knobs ``shards``/``launcher``/``shard_dir``/
+    ``max_retries`` are forwarded to experiments whose runners accept
+    them (the ones driving compiler searches); the search results are
+    identical to a serial run (and, with retries, crash-tolerant).
     """
     runner, formatter = EXPERIMENTS[name]
     kwargs: dict = {"seed": seed}
     if name != "fig6":  # fig6 takes n_flows rather than quick
         kwargs["quick"] = quick
     accepted = inspect.signature(runner).parameters
-    if "n_workers" in accepted:
-        kwargs["n_workers"] = n_workers
-        kwargs["batch_size"] = batch_size
     if "shards" in accepted:
         kwargs["shards"] = shards
         kwargs["launcher"] = launcher
@@ -87,14 +81,6 @@ def main(argv: "list | None" = None) -> int:
     )
     parser.add_argument("--out", default=None, help="directory for .txt artifacts")
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel evaluation workers for compiler-driven experiments",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None,
-        help="BO configurations evaluated per batch (default: --workers)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=1,
         help="shard compiler-driven experiments over this many shards "
              "(identical results; see docs/distrib.md)",
@@ -112,12 +98,6 @@ def main(argv: "list | None" = None) -> int:
         help="re-post failed shard tasks this many times before aborting",
     )
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch_size is not None and args.batch_size < 1:
-        print("error: --batch-size must be >= 1", file=sys.stderr)
-        return 2
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
@@ -134,8 +114,6 @@ def main(argv: "list | None" = None) -> int:
             name,
             seed=args.seed,
             quick=not args.full,
-            n_workers=args.workers,
-            batch_size=args.batch_size,
             shards=args.shards,
             launcher=args.launcher,
             shard_dir=args.shard_dir,

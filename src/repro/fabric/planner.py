@@ -46,6 +46,7 @@ from repro.fabric.topology import TIER_ORDER, Topology, _load_doc
 from repro.fabric.traffic import TrafficMatrix
 from repro.obs import get_registry, get_tracer
 from repro.rng import derive
+from repro.wire import Fields
 
 __all__ = [
     "FabricApp",
@@ -128,13 +129,15 @@ class FabricApp:
     @staticmethod
     def from_dict(doc: dict) -> "FabricApp":
         """Rebuild an app declaration from its :meth:`to_dict` document."""
+        fields = Fields(doc, "", ("name", "dataset", "metric", "algorithms",
+                                  "tiers", "throughput"), FabricError)
         return FabricApp(
-            name=doc["name"],
-            dataset=DatasetRef.from_dict(doc["dataset"]),
-            metric=doc.get("metric", "f1"),
-            algorithms=tuple(doc.get("algorithms", ())),
-            tiers=tuple(doc.get("tiers", ("leaf",))),
-            throughput=doc.get("throughput"),
+            name=fields.text("name"),
+            dataset=fields.nested("dataset", DatasetRef.from_dict),
+            metric=fields.text("metric", "f1"),
+            algorithms=fields.names("algorithms", ()),
+            tiers=fields.names("tiers", ("leaf",)),
+            throughput=fields.number("throughput", None, none=True),
         )
 
 
@@ -143,10 +146,9 @@ class FabricSpec:
     """Everything :func:`plan_fabric` needs: topology, apps, knobs.
 
     The scalar knobs mirror :class:`~repro.distrib.runspec.RunSpec`
-    (per-family BO budget, warmup, training epochs, root seed,
-    within-shard worker width); ``traffic`` is optional — without it
-    the plan simply carries no oversubscription rollup and router
-    weights default to 1.
+    (per-family BO budget, warmup, training epochs, root seed);
+    ``traffic`` is optional — without it the plan simply carries no
+    oversubscription rollup and router weights default to 1.
     """
 
     topology: Topology
@@ -156,7 +158,6 @@ class FabricSpec:
     warmup: int = 3
     train_epochs: int = 10
     seed: int = 0
-    n_workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.apps:
@@ -166,8 +167,6 @@ class FabricSpec:
             raise FabricError(f"duplicate app names: {names}")
         if self.budget < 1:
             raise FabricError(f"budget must be >= 1, got {self.budget}")
-        if self.n_workers < 1:
-            raise FabricError(f"n_workers must be >= 1, got {self.n_workers}")
         # Surface bad tier references at spec construction, not mid-plan.
         placements_for(self.topology, self.apps)
 
@@ -180,7 +179,6 @@ class FabricSpec:
             "warmup": self.warmup,
             "train_epochs": self.train_epochs,
             "seed": self.seed,
-            "n_workers": self.n_workers,
         }
         if self.traffic is not None:
             doc["traffic"] = self.traffic.to_dict()
@@ -188,17 +186,25 @@ class FabricSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "FabricSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_dict`."""
-        traffic = doc.get("traffic")
+        """Rebuild (and re-validate) a spec from :meth:`to_dict`.
+
+        A malformed ``doc`` (missing key, wrong type, unknown key) raises
+        :class:`FabricError` naming the field (a bad dataset reference
+        raises :class:`SpecificationError`).
+        """
+        fields = Fields(doc, "fabric spec", (
+            "topology", "apps", "traffic", "budget", "warmup",
+            "train_epochs", "seed",
+        ), FabricError)
+        traffic = fields.mapping("traffic", None, none=True)
         return FabricSpec(
-            topology=Topology.from_dict(doc["topology"]),
-            apps=[FabricApp.from_dict(a) for a in doc.get("apps", [])],
+            topology=Topology.from_dict(fields.mapping("topology")),
+            apps=fields.each("apps", FabricApp.from_dict),
             traffic=TrafficMatrix.from_dict(traffic) if traffic else None,
-            budget=int(doc.get("budget", 8)),
-            warmup=int(doc.get("warmup", 3)),
-            train_epochs=int(doc.get("train_epochs", 10)),
-            seed=int(doc.get("seed", 0)),
-            n_workers=int(doc.get("n_workers", 1)),
+            budget=fields.integer("budget", 8),
+            warmup=fields.integer("warmup", 3),
+            train_epochs=fields.integer("train_epochs", 10),
+            seed=fields.integer("seed", 0),
         )
 
 
@@ -329,7 +335,6 @@ def _tier_runspec(spec: FabricSpec, tier, apps: list) -> RunSpec:
         warmup=spec.warmup,
         train_epochs=spec.train_epochs,
         seed=spec.seed,
-        n_workers=spec.n_workers,
     )
 
 

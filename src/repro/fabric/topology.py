@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.backends.registry import resolve_backend_name
 from repro.errors import FabricError
+from repro.wire import Fields
 
 __all__ = [
     "TIER_ORDER",
@@ -121,13 +122,15 @@ class TierSpec:
     @staticmethod
     def from_dict(doc: dict) -> "TierSpec":
         """Rebuild (and re-validate) a tier spec from :meth:`to_dict`."""
+        fields = Fields(doc, "", ("tier", "count", "device", "ports",
+                                     "link_gbps", "resources"), FabricError)
         return TierSpec(
-            tier=doc["tier"],
-            count=int(doc["count"]),
-            device=doc.get("device"),
-            ports=int(doc.get("ports", 4)),
-            link_gbps=float(doc.get("link_gbps", 10.0)),
-            resources=doc.get("resources"),
+            tier=fields.text("tier"),
+            count=fields.integer("count"),
+            device=fields.text("device", None, none=True),
+            ports=fields.integer("ports", 4),
+            link_gbps=float(fields.number("link_gbps", 10.0)),
+            resources=fields.numbers("resources", None, none=True),
         )
 
 
@@ -278,10 +281,12 @@ class Topology:
     @staticmethod
     def from_dict(doc: dict) -> "Topology":
         """Rebuild (and re-validate) a topology from :meth:`to_dict`."""
-        tiers = doc.get("tiers")
-        if not isinstance(tiers, list) or not tiers:
+        tiers = Fields(doc, "topology", ("tiers",), FabricError).each(
+            "tiers", TierSpec.from_dict
+        )
+        if not tiers:
             raise FabricError("topology document needs a 'tiers' list")
-        return Topology([TierSpec.from_dict(t) for t in tiers])
+        return Topology(tiers)
 
 
 def _load_doc(path: str) -> dict:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import FabricError
 from repro.fabric.topology import TIER_ORDER, Topology
+from repro.wire import Fields
 
 __all__ = [
     "Demand",
@@ -60,8 +61,11 @@ class Demand:
     @staticmethod
     def from_dict(doc: dict) -> "Demand":
         """Rebuild (and re-validate) a demand from :meth:`to_dict`."""
-        return Demand(app=doc["app"], src_tier=doc["src_tier"],
-                      dst_tier=doc["dst_tier"], gbps=float(doc["gbps"]))
+        fields = Fields(doc, "", ("app", "src_tier", "dst_tier", "gbps"),
+                        FabricError)
+        return Demand(app=fields.text("app"), src_tier=fields.text("src_tier"),
+                      dst_tier=fields.text("dst_tier"),
+                      gbps=float(fields.number("gbps")))
 
 
 @dataclass
@@ -165,7 +169,9 @@ class TrafficMatrix:
     @staticmethod
     def from_dict(doc: dict) -> "TrafficMatrix":
         """Rebuild a traffic matrix from its :meth:`to_dict` document."""
-        rows = doc.get("demands")
-        if not isinstance(rows, list) or not rows:
+        demands = Fields(doc, "traffic", ("demands",), FabricError).each(
+            "demands", Demand.from_dict
+        )
+        if not demands:
             raise FabricError("traffic document needs a 'demands' list")
-        return TrafficMatrix([Demand.from_dict(d) for d in rows])
+        return TrafficMatrix(demands)

@@ -1,8 +1,8 @@
 """Process-wide metrics registry: labeled counters, gauges, histograms.
 
 The telemetry the repo already keeps is *embedded* — ring buffers inside
-:class:`~repro.serving.stats.ServingStats`, ``stats`` dicts on
-:class:`~repro.bayesopt.parallel.ParallelEvaluator` — which is perfect
+:class:`~repro.serving.stats.ServingStats`, hit/miss counters on
+:class:`~repro.bayesopt.cache.EvaluationCache` — which is perfect
 for the component that owns it and useless for an operator who wants one
 queryable account of the whole process.  This module adds that account:
 a :class:`MetricsRegistry` of named, labeled instruments that any
@@ -35,7 +35,7 @@ Example::
 
     reg = get_registry()                  # NULL_REGISTRY unless REPRO_OBS=1
     hits = reg.counter("repro_bo_cache_hits_total",
-                       help="speculative prefetches the replay used")
+                       help="evaluations served from the cache")
     hits.inc()
     reg.counter("repro_queue_events_total", labels=("event",)) \\
        .labels(event="claim").inc()

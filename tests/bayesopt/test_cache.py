@@ -1,13 +1,12 @@
-"""Tests for the persistent evaluation cache and the cached-objective wrapper."""
+"""Tests for the persistent evaluation cache."""
 
 import json
 
 import pytest
 
-from repro.bayesopt.cache import CachedObjective, EvaluationCache, config_key
-from repro.bayesopt.optimizer import BayesianOptimizer
+from repro.bayesopt.cache import EvaluationCache, config_key
 from repro.bayesopt.results import Evaluation
-from repro.bayesopt.space import DesignSpace, Integer, Real
+from repro.bayesopt.space import DesignSpace, Integer
 from repro.core.evaluator import ModelEvaluator
 from repro.errors import DesignSpaceError
 
@@ -44,21 +43,6 @@ class TestEvaluationCache:
         cache.put({"x": 2}, Evaluation(config={"x": 2}, objective=1.0))
         cache.get({"x": 2})
         assert cache.stats == {"hits": 1, "misses": 1, "size": 1}
-
-    def test_duplicate_configs_hit_cache_in_bo_loop(self):
-        # Tiny space forces the dedupe fallback to resuggest configs; the
-        # cache must absorb the repeats so the objective runs once per point.
-        space = DesignSpace([Integer("x", 0, 3)])
-        calls = []
-
-        def f(config):
-            calls.append(config["x"])
-            return float(config["x"])
-
-        wrapped = CachedObjective(f)
-        BayesianOptimizer(space, wrapped, warmup=2, seed=0).run(8)
-        assert wrapped.calls == len(set(calls))
-        assert wrapped.calls <= 4  # only 4 distinct configs exist
 
     def test_json_spill_roundtrip(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -143,19 +127,6 @@ class TestEvaluationCache:
         path.write_text("{not json")
         with pytest.raises(DesignSpaceError):
             EvaluationCache(path=str(path))
-
-
-class TestSuggestBatchDedupe:
-    def test_batch_distinct_under_dedupe(self):
-        space = DesignSpace(
-            [Integer("x", -10, 10), Integer("y", -10, 10), Real("r", 0.0, 1.0)]
-        )
-        opt = BayesianOptimizer(
-            space, lambda c: float(c["x"] + c["y"]), warmup=3, seed=1, dedupe=True
-        )
-        result = opt.run(5)
-        batch = opt.suggest_batch(result, 6)
-        assert len({space.key(c) for c in batch}) == 6
 
 
 class TestModelEvaluatorCache:

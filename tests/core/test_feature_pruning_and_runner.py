@@ -84,21 +84,3 @@ class TestRunner:
         with pytest.raises(SystemExit):
             main(["--experiment", "table99"])
 
-    def test_main_rejects_bad_workers(self, capsys):
-        assert main(["--experiment", "fig6", "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_main_rejects_bad_batch_size(self, capsys):
-        assert main(["--experiment", "fig6", "--batch-size", "0"]) == 2
-        assert "--batch-size" in capsys.readouterr().err
-
-    def test_workers_flag_accepted_on_non_compiler_experiment(self, capsys):
-        # fig6 does not drive the compiler; the flag must be harmless there.
-        code = main(["--experiment", "fig6", "--workers", "2"])
-        assert code == 0
-        assert "fig6" in capsys.readouterr().out
-
-    def test_run_experiment_parallel_matches_serial(self):
-        serial = run_experiment("fig7", seed=0, quick=True)
-        parallel = run_experiment("fig7", seed=0, quick=True, n_workers=2)
-        assert parallel == serial  # identical report text under parallelism

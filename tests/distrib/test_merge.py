@@ -186,28 +186,24 @@ class TestOrphanTmpSweep:
         assert sweep_orphan_tmp("") == []
 
 
-def unit(model=0, family=0, start=0, n=3, stats=None):
+def unit(model=0, family=0, start=0, n=3):
     return UnitResult(
         model_index=model, model_name="m", family_index=family,
         algorithm=f"f{family}", start=start,
         history=[ev(0.1 * i, 5, x=i) for i in range(n)],
-        stats=stats,
     )
 
 
 class TestAggregateStats:
-    def test_sums_engine_counters_and_tracks_critical_path(self):
+    def test_counts_units_and_tracks_critical_path(self):
         shards = [
-            ShardResult(index=0, n_shards=2, elapsed_s=2.0,
-                        units=[unit(stats={"evaluated": 3, "rounds": 1})]),
+            ShardResult(index=0, n_shards=2, elapsed_s=2.0, units=[unit()]),
             ShardResult(index=1, n_shards=2, elapsed_s=5.0,
-                        units=[unit(family=1, stats={"evaluated": 2}),
-                               unit(family=2)]),
+                        units=[unit(family=1), unit(family=2)]),
         ]
         stats = aggregate_stats(shards)
         assert stats["shards"] == 2
         assert stats["units"] == 3
-        assert stats["engine"] == {"evaluated": 5, "rounds": 1}
         assert stats["critical_path_s"] == 5.0
         assert stats["total_work_s"] == 7.0
         assert stats["per_shard"][1]["evaluations"] == 6

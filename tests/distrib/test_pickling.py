@@ -1,19 +1,14 @@
-"""Model/search specs must pickle — the prerequisite that unlocks
-process-pool execution end to end (the ROADMAP item this PR closes).
+"""Model/search specs must pickle, so they can cross a process boundary.
 
-Loader closures pickle as their materialized dataset; caches drop and
-re-create their lock; with both in place, ``generate(executor="process")``
-produces the identical report to the thread path."""
+Loader closures pickle as their materialized dataset; evaluators carry
+their cache along and keep scoring identically after a round trip."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-import repro
 from repro.alchemy import DataLoader, Model, Platforms
-from repro.bayesopt import ParallelEvaluator
-from repro.bayesopt.optimizer import BayesianOptimizer
 from repro.core.evaluator import ModelEvaluator
 from repro.datasets import load_iot
 from repro.errors import SpecificationError
@@ -67,50 +62,3 @@ class TestSpecPickling:
         clone = pickle.loads(pickle.dumps(evaluator))
         config = {"max_depth": 3, "min_samples_leaf": 2}
         assert clone.evaluate(config).objective == evaluator.evaluate(config).objective
-
-
-class TestProcessExecutorEndToEnd:
-    def test_parallel_evaluator_process_pool_with_real_evaluator(self, dataset):
-        """The full black box (train -> lower -> score) over a process
-        pool, bit-identical to the serial trajectory."""
-        from repro.backends.tofino import TofinoBackend
-        from repro.core.designspace_builder import build_design_space
-
-        backend = TofinoBackend()
-        constraints = {"performance": {}, "resources": {}}
-        evaluator = ModelEvaluator(
-            make_model(dataset), dataset, "decision_tree", backend,
-            constraints, seed=0, train_epochs=3,
-        )
-        space = build_design_space("decision_tree", dataset, backend, {})
-        serial = BayesianOptimizer(
-            space, evaluator.evaluate, warmup=2, seed=5
-        ).run(4)
-        engine = ParallelEvaluator(
-            space, evaluator.evaluate, n_workers=2, warmup=2, seed=5,
-            executor="process",
-        )
-        parallel = engine.run(4)
-        assert [
-            (e.config, e.objective) for e in serial.history
-        ] == [(e.config, e.objective) for e in parallel.history]
-
-    def test_generate_process_executor_matches_thread(self, dataset):
-        def run(executor):
-            platform = Platforms.Tofino()
-            platform.schedule(make_model(dataset))
-            return repro.generate(
-                platform, budget=3, warmup=2, train_epochs=3, seed=0,
-                n_workers=2, executor=executor,
-            )
-
-        threaded = run("thread")
-        processed = run("process")
-        assert threaded.best.best_config == processed.best.best_config
-        assert threaded.best.objective == processed.best.objective
-
-    def test_generate_rejects_unknown_executor(self, dataset):
-        platform = Platforms.Tofino()
-        platform.schedule(make_model(dataset))
-        with pytest.raises(SpecificationError, match="executor"):
-            repro.generate(platform, budget=2, executor="fiber")

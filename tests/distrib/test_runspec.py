@@ -101,7 +101,7 @@ def spec_of(**overrides):
 
 class TestRunSpec:
     def test_json_roundtrip(self):
-        spec = spec_of(starts=3, n_workers=2, batch_size=2,
+        spec = spec_of(starts=3,
                        performance={"latency": 800.0},
                        cache_dir="cache/")
         doc = json.loads(json.dumps(spec.to_dict()))
@@ -128,8 +128,6 @@ class TestRunSpec:
             spec_of(budget=0)
         with pytest.raises(SpecificationError):
             spec_of(starts=0)
-        with pytest.raises(SpecificationError):
-            spec_of(n_workers=0)
         with pytest.raises(SpecificationError):
             ModelEntry(name="x", dataset=DatasetRef.for_app("ad"), metric="mse")
         duplicate = ModelEntry(

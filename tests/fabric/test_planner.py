@@ -67,8 +67,6 @@ class TestFabricSpecValidation:
         base = make_leaf_spec()
         with pytest.raises(FabricError, match="budget"):
             FabricSpec(base.topology, base.apps, budget=0)
-        with pytest.raises(FabricError, match="n_workers"):
-            FabricSpec(base.topology, base.apps, budget=2, n_workers=0)
 
     def test_spec_round_trip(self, make_leaf_spec):
         spec = make_leaf_spec()

@@ -147,30 +147,6 @@ class TestSearchBitIdentity:
         assert len(doc["traceEvents"]) == len(out.obs["spans"])
 
 
-class TestParallelEvaluatorSpans:
-    def test_traced_run_identical_and_emits_eval_spans(self, obs_on):
-        from repro.bayesopt.parallel import ParallelEvaluator
-        from repro.bayesopt.space import DesignSpace, Integer
-        from repro.obs.trace import get_tracer
-
-        def quadratic(config):
-            return -(config["x"] ** 2 + config["y"] ** 2)
-
-        space = DesignSpace([Integer("x", -10, 10), Integer("y", -10, 10)])
-        traced = ParallelEvaluator(space, quadratic, n_workers=2,
-                                   warmup=3, seed=4).run(10)
-        spans = [e for e in get_tracer().drain() if e["name"] == "bo.eval"]
-        reset_tracer()
-
-        os.environ.pop("REPRO_OBS", None)
-        untraced = ParallelEvaluator(space, quadratic, n_workers=2,
-                                     warmup=3, seed=4).run(10)
-        # Every real black-box call got a span; histories are identical.
-        assert len(spans) > 0
-        assert [(e.config, e.objective) for e in traced.history] == \
-               [(e.config, e.objective) for e in untraced.history]
-
-
 class TestServingBitIdentity:
     def _run(self, pipeline, packets, labels):
         from repro.runtime import FlowmarkerTracker

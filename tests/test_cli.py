@@ -31,18 +31,15 @@ class TestParser:
         assert args.algorithm == ["svm", "decision_tree"]
 
     def test_parallel_flag_defaults(self):
+        # The compile-mode --workers/--batch-size knobs are gone; the
+        # evaluation cache directory is the one run-level knob left.
         args = build_parser().parse_args(["--app", "ad"])
-        assert args.workers == 1
-        assert args.batch_size is None
         assert args.cache_dir is None
+        assert not hasattr(args, "workers")
+        assert not hasattr(args, "batch_size")
 
-    def test_parallel_flags_parse(self):
-        args = build_parser().parse_args(
-            ["--app", "ad", "--workers", "4", "--batch-size", "2",
-             "--cache-dir", "cache/"]
-        )
-        assert args.workers == 4
-        assert args.batch_size == 2
+    def test_cache_dir_flag_parses(self):
+        args = build_parser().parse_args(["--app", "ad", "--cache-dir", "cache/"])
         assert args.cache_dir == "cache/"
 
 
@@ -187,30 +184,11 @@ class TestMain:
         assert code == 0
         assert "decision_tree" in capsys.readouterr().out
 
-    def test_bad_workers_errors(self, capsys):
-        code = main(["--app", "tc", "--workers", "0"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_bad_batch_size_errors(self, capsys):
-        code = main(["--app", "tc", "--batch-size", "0"])
-        assert code == 2
-        assert "--batch-size" in capsys.readouterr().err
-
-    def test_parallel_compile_matches_serial(self, capsys):
-        argv = ["--app", "tc", "--target", "tofino",
-                "--algorithm", "decision_tree", "--budget", "4", "--seed", "0"]
-        assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main([*argv, "--workers", "2", "--batch-size", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-        assert parallel_out == serial_out  # same report text, not just exit code
-
     def test_cache_dir_spills_evaluations(self, tmp_path, capsys):
         cache_dir = tmp_path / "evals"
         code = main(
             ["--app", "tc", "--target", "tofino", "--algorithm", "decision_tree",
-             "--budget", "3", "--seed", "0", "--workers", "2",
+             "--budget", "3", "--seed", "0",
              "--cache-dir", str(cache_dir)]
         )
         assert code == 0
@@ -316,9 +294,8 @@ class TestRunnerShardFlags:
 
         captured = {}
 
-        def fake_table2(seed=0, quick=True, n_workers=1, batch_size=None,
-                        shards=1, launcher=None, shard_dir=None,
-                        max_retries=0):
+        def fake_table2(seed=0, quick=True, shards=1, launcher=None,
+                        shard_dir=None, max_retries=0):
             captured.update(shards=shards, launcher=launcher,
                             shard_dir=shard_dir, max_retries=max_retries)
             return []
