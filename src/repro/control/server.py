@@ -35,8 +35,9 @@ unknown path is ``404``, anything unexpected is ``500``.  A request
 that is not fully read (request line, headers and body) within
 :data:`READ_DEADLINE_S` is ``408``, so a stalled client cannot hold a
 handler open; more than :data:`MAX_HEADER_LINES` header lines is
-``431``.  Every response body is JSON; errors carry
-``{"error": ..., "detail": ...}``.
+``431``.  A connection opened while :data:`MAX_CONNECTIONS` others are
+being handled is answered ``503`` at once and closed, unread.  Every
+response body is JSON; errors carry ``{"error": ..., "detail": ...}``.
 
 Example::
 
@@ -66,6 +67,13 @@ READ_DEADLINE_S = 10.0
 #: Cap on header lines per request; one more is a ``431``.
 MAX_HEADER_LINES = 100
 
+#: Cap on connections handled at once; one more is a ``503``.
+MAX_CONNECTIONS = 64
+
+#: Seconds a refused connection may take to finish sending before it is
+#: closed (closing on unread bytes would reset it and lose the ``503``).
+REFUSE_LINGER_S = 1.0
+
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -73,7 +81,7 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 408: "Request Timeout",
                 409: "Conflict", 413: "Payload Too Large",
                 431: "Request Header Fields Too Large",
-                500: "Internal Server Error"}
+                500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 class _Reject(Exception):
@@ -168,6 +176,7 @@ class ControlServer:
         self.port = int(port)
         self.adaptation = adaptation
         self._server: "asyncio.AbstractServer | None" = None
+        self._open = 0  # connections being handled
 
     async def start(self) -> int:
         """Bind and start serving; returns the bound port."""
@@ -188,15 +197,45 @@ class ControlServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        if self._open >= MAX_CONNECTIONS:
+            await self._refuse(reader, writer)
+            return
+        self._open += 1
         try:
             outcome = await self._respond(reader)
         except Exception as exc:  # never let a handler kill the server
             outcome = (500, {"error": "internal", "detail": str(exc)})
+        finally:
+            self._open -= 1
         status, doc = outcome[0], outcome[1]
         content_type = outcome[2] if len(outcome) > 2 else "application/json"
         try:
             writer.write(_response(status, doc, content_type))
             await writer.drain()
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _refuse(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        """Answer ``503`` without reading the request, then close."""
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            writer.write(_response(503, {
+                "error": "busy",
+                "detail": f"more than {MAX_CONNECTIONS} open connections"}))
+            await writer.drain()
+            writer.write_eof()
+            await asyncio.wait_for(discard(), REFUSE_LINGER_S)
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            pass
         finally:
             writer.close()
             try:

@@ -72,8 +72,9 @@ class TrafficCapture:
         """Retain one recorded micro-batch (labeled rows only).
 
         ``rows``/``labels``/``predictions`` are parallel per-row
-        sequences; ``times`` is a per-row arrival-stamp sequence or one
-        scalar for the whole batch.
+        sequences (``rows`` may be one ``(n, width)`` matrix, as the
+        engine passes it); ``times`` is a per-row arrival-stamp sequence
+        or one scalar for the whole batch.
         """
         labels = list(labels)
         n = len(labels)
@@ -85,9 +86,12 @@ class TrafficCapture:
         if not keep:
             return
         self.labeled += len(keep)
-        matrix = np.stack(
-            [np.asarray(rows[i], dtype=float).ravel() for i in keep]
-        )
+        if isinstance(rows, np.ndarray) and rows.ndim == 2:
+            matrix = rows[keep].astype(float, copy=False)
+        else:
+            matrix = np.stack(
+                [np.asarray(rows[i], dtype=float).ravel() for i in keep]
+            )
         if self._features is None:
             self._features = [RingSeries(self.capacity)
                               for _ in range(matrix.shape[1])]

@@ -8,6 +8,8 @@ matches what the generated P4/Spatial parsers would extract.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.netsim.flow import Flow
@@ -47,8 +49,26 @@ def packet_features(packet: Packet) -> np.ndarray:
     )
 
 
+def packet_feature_matrix(packets: Sequence[Packet]) -> np.ndarray:
+    """Feature matrix (n_packets x 7): :func:`packet_features` per row.
+
+    The header fields are gathered once and the address-pair hash runs
+    on the whole column in ``uint64``, where the 32-bit products are
+    exact, so every row equals the per-packet vector.
+    """
+    fields = np.array(
+        [(p.size, p.protocol, p.src_port, p.dst_port, p.ttl, p.tcp_flags,
+          p.src_ip, p.dst_ip) for p in packets],
+        dtype=np.uint64,
+    ).reshape(-1, 8)
+    mixed = (fields[:, 6] * np.uint64(2654435761)
+             ^ fields[:, 7] * np.uint64(40503)) & np.uint64(0xFFFFFFFF)
+    out = np.empty((fields.shape[0], len(PACKET_FEATURE_NAMES)))
+    out[:, :6] = fields[:, :6]
+    out[:, 6] = (mixed >> np.uint64(16)) ^ (mixed & np.uint64(0xFFFF))
+    return out
+
+
 def flow_packet_features(flow: Flow) -> np.ndarray:
     """Feature matrix (n_packets x 7) for every packet of a flow."""
-    if len(flow) == 0:
-        return np.empty((0, len(PACKET_FEATURE_NAMES)))
-    return np.stack([packet_features(p) for p in flow])
+    return packet_feature_matrix(list(flow))

@@ -95,5 +95,5 @@ def conversation_key(packet: Packet) -> tuple:
     FlowLens tracks botnet conversations at this granularity — "tracking
     source and destination IP, while ignoring ports" (§5.1.1).
     """
-    lo, hi = sorted((packet.src_ip, packet.dst_ip))
-    return (lo, hi)
+    src, dst = packet.src_ip, packet.dst_ip
+    return (src, dst) if src <= dst else (dst, src)

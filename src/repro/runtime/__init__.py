@@ -12,6 +12,7 @@ from repro.runtime.stream import (
     PacketFeatureExtractor,
     StreamProcessor,
     StreamStats,
+    extract_rows,
 )
 
 __all__ = [
@@ -19,4 +20,5 @@ __all__ = [
     "StreamStats",
     "PacketFeatureExtractor",
     "FlowmarkerTracker",
+    "extract_rows",
 ]

@@ -17,12 +17,13 @@ hardware pipeline overlaps packets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import HomunculusError
-from repro.netsim.features import packet_features
+from repro.netsim.features import packet_feature_matrix
 from repro.netsim.flow import Flow
 from repro.netsim.flowmarker import PAPER_SPEC, FlowMarkerSpec
 from repro.netsim.packet import Packet, conversation_key
@@ -32,11 +33,28 @@ from repro.netsim.trace import interleave_flows
 class PacketFeatureExtractor:
     """Stateless per-packet feature extraction (AD/TC pipelines)."""
 
+    def extract_many(self, packets: Sequence[Packet]) -> np.ndarray:
+        """One :func:`packet_features` row per packet, as a matrix."""
+        return packet_feature_matrix(packets)
+
     def extract(self, packet: Packet) -> np.ndarray:
-        return packet_features(packet)
+        return self.extract_many((packet,))[0]
 
     def reset(self) -> None:
         """Stateless: nothing to clear."""
+
+
+def extract_rows(extractor, packets: Sequence[Packet]) -> np.ndarray:
+    """Feature rows of ``packets`` (non-empty), one per packet, in order.
+
+    The extractor contract: ``extract(packet) -> row`` is required and
+    ``extract_many(packets) -> (n, width) matrix`` is optional.  An
+    extractor that has only ``extract`` gets its rows stacked.
+    """
+    extract_many = getattr(extractor, "extract_many", None)
+    if extract_many is not None:
+        return extract_many(packets)
+    return np.stack([extractor.extract(packet) for packet in packets])
 
 
 class FlowmarkerTracker:
@@ -78,30 +96,50 @@ class FlowmarkerTracker:
         del self._last_seen[oldest]
         self.evictions += 1
 
+    def extract_many(self, packets: Sequence[Packet]) -> np.ndarray:
+        """Update the registers packet by packet; return every marker.
+
+        Row ``i`` is packet ``i``'s conversation marker right after
+        packet ``i`` updated it — what the switch's register array
+        holds when that packet triggers inference.  Each packet adds
+        one to its packet-length bin and, from the conversation's
+        second packet on, one to its inter-arrival bin (both clamped
+        into their last bin).  A conversation that goes back in time
+        raises :class:`HomunculusError`.
+        """
+        spec = self.spec
+        pl_width, pl_last = spec.pl_bin_size, spec.pl_bins - 1
+        ipt_width, ipt_last = spec.ipt_bin_size, spec.ipt_bins - 1
+        ipt_base, width = spec.pl_bins, spec.total_bins
+        markers, last_seen = self._markers, self._last_seen
+        key_fn, capacity = self.key_fn, self.max_conversations
+        out = np.empty((len(packets), width))
+        for index, packet in enumerate(packets):
+            key = key_fn(packet)
+            marker = markers.get(key)
+            if marker is None:
+                if len(markers) >= capacity:
+                    self._evict_oldest()
+                marker = markers[key] = np.zeros(width)
+                prev_ts = None
+            else:
+                prev_ts = last_seen[key]
+            marker[min(int(packet.size) // pl_width, pl_last)] += 1.0
+            if prev_ts is not None:
+                gap = packet.timestamp - prev_ts
+                if gap < 0:
+                    raise HomunculusError(
+                        f"non-monotonic timestamps within a conversation ({gap})"
+                    )
+                marker[ipt_base + min(int(gap / ipt_width), ipt_last)] += 1.0
+                del last_seen[key]  # re-insert at the tail: LRU order
+            last_seen[key] = packet.timestamp
+            out[index] = marker
+        return out
+
     def extract(self, packet: Packet) -> np.ndarray:
         """Update this packet's conversation state; return the marker."""
-        key = self.key_fn(packet)
-        state = self._markers.get(key)
-        if state is None:
-            if len(self._markers) >= self.max_conversations:
-                self._evict_oldest()
-            marker = np.zeros(self.spec.total_bins)
-            self._markers[key] = marker
-            prev_ts = None
-        else:
-            marker = state
-            prev_ts = self._last_seen[key]
-        marker[self.spec.pl_bin(packet.size)] += 1.0
-        if prev_ts is not None:
-            gap = packet.timestamp - prev_ts
-            if gap < 0:
-                raise HomunculusError(
-                    f"non-monotonic timestamps within a conversation ({gap})"
-                )
-            marker[self.spec.pl_bins + self.spec.ipt_bin(gap)] += 1.0
-            del self._last_seen[key]  # re-insert at the tail: LRU order
-        self._last_seen[key] = packet.timestamp
-        return marker.copy()
+        return self.extract_many((packet,))[0]
 
     def reset(self) -> None:
         self._markers.clear()
@@ -130,20 +168,22 @@ class StreamStats:
             key = (int(label), int(predicted))
             self.confusion[key] = self.confusion.get(key, 0) + 1
 
-    def record_batch(self, predictions, labels: "list | None" = None) -> None:
+    def record_batch(self, predictions, labels: "Sequence | None" = None) -> None:
         """Record a whole batch at once (numpy-vectorized counters).
 
-        ``labels`` may be ``None`` or a parallel list whose entries are
-        ``None`` for unlabeled packets.  The resulting counters are
-        identical to calling :meth:`record` per packet — the async
-        serving engine uses this to keep per-packet accounting cost off
-        its hot path.
+        ``labels`` may be ``None`` or a parallel sequence whose entries
+        are ``None`` for unlabeled packets.  The resulting counters are
+        identical to calling :meth:`record` per packet; new keys enter
+        ``class_counts`` and ``confusion`` in sorted order per batch.
+        The async serving engine uses this to keep per-packet
+        accounting cost off its hot path.
         """
         predictions = np.asarray(predictions)
         self.packets += int(predictions.shape[0])
-        for value, count in zip(*np.unique(predictions, return_counts=True)):
+        values, counts = np.unique(predictions, return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
             value = int(value)
-            self.class_counts[value] = self.class_counts.get(value, 0) + int(count)
+            self.class_counts[value] = self.class_counts.get(value, 0) + count
         if labels is None:
             return
         mask = np.array([label is not None for label in labels], dtype=bool)
@@ -153,11 +193,16 @@ class StreamStats:
         pred = predictions[mask].astype(int)
         self.labeled += int(mask.sum())
         self.correct += int((true == pred).sum())
-        pairs, counts = np.unique(np.stack([true, pred], axis=1), axis=0,
+        # Count (true, predicted) pairs through one integer code per pair;
+        # codes sort in the pairs' lexicographic order.
+        true_low, pred_low = int(true.min()), int(pred.min())
+        span = int(pred.max()) - pred_low + 1
+        codes, counts = np.unique((true - true_low) * span + (pred - pred_low),
                                   return_counts=True)
-        for (t, p), count in zip(pairs, counts):
-            key = (int(t), int(p))
-            self.confusion[key] = self.confusion.get(key, 0) + int(count)
+        for code, count in zip(codes.tolist(), counts.tolist()):
+            t, p = divmod(code, span)
+            key = (t + true_low, p + pred_low)
+            self.confusion[key] = self.confusion.get(key, 0) + count
 
     @property
     def accuracy(self) -> "float | None":
@@ -196,13 +241,6 @@ class StreamProcessor:
         self.batch_size = int(batch_size)
         self.stats = StreamStats()
 
-    def _flush(self, rows: list, labels: list) -> list:
-        if not rows:
-            return []
-        predictions = self.pipeline.predict(np.stack(rows))
-        self.stats.record_batch(predictions, labels)
-        return list(predictions)
-
     def process(
         self,
         packets: Iterable[Packet],
@@ -214,19 +252,20 @@ class StreamProcessor:
         tracking.  Returns the per-packet predictions in order.
         """
         label_list = list(labels) if labels is not None else None
+        stream = iter(packets)
         out: list = []
-        rows: list = []
-        pending_labels: list = []
-        for index, packet in enumerate(packets):
-            rows.append(self.extractor.extract(packet))
-            pending_labels.append(
-                label_list[index] if label_list is not None else None
-            )
-            if len(rows) >= self.batch_size:
-                out.extend(self._flush(rows, pending_labels))
-                rows, pending_labels = [], []
-        out.extend(self._flush(rows, pending_labels))
-        return out
+        start = 0
+        while True:
+            batch = list(islice(stream, self.batch_size))
+            if not batch:
+                return out
+            batch_labels = None
+            if label_list is not None:
+                batch_labels = label_list[start:start + len(batch)]
+            predictions = self.pipeline.predict(extract_rows(self.extractor, batch))
+            self.stats.record_batch(predictions, batch_labels)
+            out.extend(predictions)
+            start += len(batch)
 
     def process_flows(self, flows: "Iterable[Flow]", label_fn=None) -> list:
         """Process whole flows in timestamp-interleaved packet order.

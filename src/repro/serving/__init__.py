@@ -14,7 +14,7 @@ pipeline under load instead of an offline batch job.
 See ``docs/serving.md`` for the operator-facing tour.
 """
 
-from repro.serving.batching import MicroBatcher
+from repro.serving.batching import MicroBatcher, RowBlock
 from repro.serving.channel import (
     DISCIPLINES,
     BoundedChannel,
@@ -37,6 +37,7 @@ __all__ = [
     "PriorityChannel",
     "QueueDiscipline",
     "Route",
+    "RowBlock",
     "TimedPipeline",
     "ServingStats",
     "LatencyHistogram",

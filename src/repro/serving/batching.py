@@ -22,20 +22,79 @@ flushes and the end-of-stream drain emit partial batches.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
+
+import numpy as np
 
 from repro.errors import HomunculusError
 from repro.serving.channel import SENTINEL
 
-__all__ = ["MicroBatcher", "SENTINEL"]
+__all__ = ["MicroBatcher", "RowBlock", "SENTINEL"]
+
+
+class RowBlock:
+    """A block of extracted rows with their per-row metadata.
+
+    The unit the engine's stages pass between them: the extract stage
+    turns each drain of the ingress queue into one block, the batcher
+    re-slices and joins blocks into batches, inference reads
+    :attr:`rows` as its input matrix, and the record stage reads the
+    rest.  All four fields are parallel, row ``i`` of each describing
+    the same packet:
+
+    * ``rows`` — ``(n, width)`` float feature matrix,
+    * ``labels`` — list of ground-truth labels (``None`` = unlabeled),
+    * ``stamps`` — ``(n,)`` float arrival stamps at the ingress queue,
+    * ``lanes`` — ``(n,)`` int priority lane of each packet.
+
+    Slicing (``block[a:b]``) returns a block of views; :meth:`join`
+    concatenates blocks in order.
+    """
+
+    __slots__ = ("rows", "labels", "stamps", "lanes")
+
+    def __init__(self, rows: np.ndarray, labels: list, stamps: np.ndarray,
+                 lanes: np.ndarray) -> None:
+        self.rows = rows
+        self.labels = labels
+        self.stamps = stamps
+        self.lanes = lanes
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index: slice) -> "RowBlock":
+        return RowBlock(self.rows[index], self.labels[index],
+                        self.stamps[index], self.lanes[index])
+
+    @classmethod
+    def join(cls, blocks: list) -> "RowBlock":
+        """One block holding ``blocks``' rows in order."""
+        return cls(
+            np.concatenate([block.rows for block in blocks]),
+            [label for block in blocks for label in block.labels],
+            np.concatenate([block.stamps for block in blocks]),
+            np.concatenate([block.lanes for block in blocks]),
+        )
+
+
+def _join(pieces: list):
+    """Concatenate buffered chunks: row blocks, or plain item lists."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if isinstance(pieces[0], RowBlock):
+        return RowBlock.join(pieces)
+    return [item for piece in pieces for item in piece]
 
 
 class MicroBatcher:
     """Group item *chunks* from an input queue into bounded batches.
 
-    The upstream stage enqueues lists of items (chunking keeps queue
-    traffic per *burst* rather than per packet, the descriptor-ring
-    idiom); the batcher re-slices them into batches for the inference
-    stage.
+    The upstream stage enqueues chunks of items — :class:`RowBlock`
+    objects in the engine, or plain lists (chunking keeps queue traffic
+    per *burst* rather than per packet, the descriptor-ring idiom); the
+    batcher re-slices and joins them into batches of the same kind for
+    the inference stage.
 
     Example::
 
@@ -74,43 +133,56 @@ class MicroBatcher:
     async def run(self, q_in: asyncio.Queue, q_out: asyncio.Queue) -> None:
         """Pump ``q_in`` into ``q_out`` until a :data:`SENTINEL` arrives.
 
-        ``q_in`` items are lists of entries (or the sentinel).  The
-        sentinel flushes any partial batch and is then forwarded so
-        downstream stages drain in order.
+        ``q_in`` items are chunks (or the sentinel).  The sentinel
+        flushes any partial batch and is then forwarded so downstream
+        stages drain in order.
         """
         loop = asyncio.get_running_loop()
-        buffer: list = []
-        entered: list = []  # per-item batcher arrival, parallel to buffer
+        pieces: deque = deque()  # buffered chunks, oldest first
+        entered: deque = deque()  # batcher arrival of each buffered chunk
+        buffered = 0
 
         async def emit(count: int, deadline_flush: bool) -> None:
-            nonlocal buffer, entered
-            batch, buffer = buffer[:count], buffer[count:]
-            entered = entered[count:]
+            nonlocal buffered
+            taken = []
+            need = count
+            while need:
+                piece = pieces[0]
+                if len(piece) <= need:
+                    taken.append(pieces.popleft())
+                    entered.popleft()
+                    need -= len(piece)
+                else:  # the remainder keeps the chunk's arrival time
+                    taken.append(piece[:need])
+                    pieces[0] = piece[need:]
+                    need = 0
+            buffered -= count
             if self.on_flush is not None:
-                self.on_flush(len(batch), deadline_flush)
-            await q_out.put(batch)
+                self.on_flush(count, deadline_flush)
+            await q_out.put(_join(taken))
 
         while True:
-            if not buffer or self.max_latency is None:
+            if not buffered or self.max_latency is None:
                 chunk = await q_in.get()
             else:
                 remaining = entered[0] + self.max_latency - loop.time()
                 if remaining <= 0:
-                    await emit(len(buffer), True)
+                    await emit(buffered, True)
                     continue
                 try:
                     chunk = await asyncio.wait_for(q_in.get(), timeout=remaining)
                 except asyncio.TimeoutError:
-                    await emit(len(buffer), True)
+                    await emit(buffered, True)
                     continue
             if chunk is SENTINEL:
-                if buffer:
-                    await emit(len(buffer), False)
+                if buffered:
+                    await emit(buffered, False)
                 await q_out.put(SENTINEL)
                 return
-            buffer.extend(chunk)
-            if self.max_latency is not None:
-                now = loop.time()
-                entered.extend([now] * len(chunk))
-            while len(buffer) >= self.batch_size:
+            if not len(chunk):
+                continue
+            pieces.append(chunk)
+            entered.append(loop.time())
+            buffered += len(chunk)
+            while buffered >= self.batch_size:
                 await emit(self.batch_size, False)

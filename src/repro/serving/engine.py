@@ -7,14 +7,19 @@ extracts the next one.  :class:`AsyncStreamEngine` runs the four stages
 as concurrent tasks connected by **bounded** queues, the software
 analogue of a switch pipeline's fixed-depth stage FIFOs:
 
-* **extract** — per-packet feature extraction (stateful, sequential:
-  conversation state must see packets in arrival order),
+* **extract** — feature extraction (stateful, sequential: conversation
+  state must see packets in arrival order), one
+  :class:`~repro.serving.batching.RowBlock` per drain of the ingress
+  queue,
 * **micro-batch** — :class:`~repro.serving.batching.MicroBatcher`
   (flush on size or deadline, whichever first),
 * **infer** — ``pipeline.predict`` on an executor thread, with up to
   ``infer_workers`` batches in flight (a hardware pipeline overlaps
   batches; results are re-sequenced so output order never changes),
 * **record** — in-order statistics, latency stamps, predictions.
+
+Past the ingress queue, packets travel as row blocks: the feature
+matrix plus parallel labels, arrival stamps and lanes.
 
 Backpressure at the ingress queue is a :class:`QueueDiscipline`:
 
@@ -51,7 +56,8 @@ import numpy as np
 
 from repro.errors import HomunculusError
 from repro.obs.trace import NULL_TRACER, get_tracer
-from repro.serving.batching import MicroBatcher
+from repro.runtime.stream import extract_rows
+from repro.serving.batching import MicroBatcher, RowBlock
 from repro.serving.channel import SENTINEL, BoundedChannel, PriorityChannel
 from repro.serving.clock import YIELD_EVERY, VirtualClock, WallClock, replay
 from repro.serving.stats import ServingStats
@@ -93,7 +99,10 @@ class AsyncStreamEngine:
         simulator, or :class:`~repro.serving.device.TimedPipeline`).
     extractor:
         a :class:`~repro.runtime.stream.PacketFeatureExtractor` or
-        :class:`~repro.runtime.stream.FlowmarkerTracker`.
+        :class:`~repro.runtime.stream.FlowmarkerTracker`: anything with
+        ``extract(packet) -> row``; an optional
+        ``extract_many(packets) -> matrix`` serves a whole drain in one
+        call (see :func:`~repro.runtime.stream.extract_rows`).
     batch_size / max_latency:
         micro-batch flush bounds (``max_latency`` in seconds, ``None``
         disables the deadline — pure size batching, sync-identical
@@ -126,8 +135,9 @@ class AsyncStreamEngine:
         time source for latency stamps and pacing (default wall clock).
     capture:
         optional :class:`~repro.drift.capture.TrafficCapture`-like sink
-        (``observe_batch(rows, labels, predictions, times)``).  The
-        record stage feeds it every finished micro-batch, giving the
+        (``observe_batch(rows, labels, predictions, times)``; ``rows``
+        is the batch's feature matrix, ``times`` its arrival stamps).
+        The record stage feeds it every finished micro-batch, giving the
         adaptation loop a bounded ring of recent labeled traffic to
         recompile against.  ``None`` (the default) keeps the packet
         path untouched.
@@ -167,10 +177,15 @@ class AsyncStreamEngine:
             raise HomunculusError("lane_of needs priorities (lane weights)")
         self.pipeline = pipeline
         self.extractor = extractor
+        self.stats = stats if stats is not None else ServingStats()
+        # The flush callback is the stats' method, not the engine's: a
+        # bound engine method would make engine -> batcher -> engine a
+        # reference cycle, and a finished engine (with its extractor's
+        # conversation table) would then wait for the cyclic collector.
         self.batcher = MicroBatcher(
             batch_size=batch_size,
             max_latency=max_latency,
-            on_flush=self._on_flush,
+            on_flush=self.stats.observe_batch,
         )
         self.queue_depth = int(queue_depth)
         self.drop_policy = drop_policy
@@ -185,7 +200,6 @@ class AsyncStreamEngine:
             raise HomunculusError("capture must expose observe_batch()")
         self.capture = capture
         self.clock = clock if clock is not None else WallClock()
-        self.stats = stats if stats is not None else ServingStats()
         self.pipeline_generation = 0
         #: The pipeline the last :meth:`swap_pipeline` replaced — retained
         #: so a controller can :meth:`rollback_pipeline` instantly.
@@ -196,9 +210,6 @@ class AsyncStreamEngine:
         # spans are per inference batch only, so tracing off costs the
         # packet path literally nothing.
         self._tracer = NULL_TRACER
-
-    def _on_flush(self, rows: int, deadline: bool) -> None:
-        self.stats.observe_batch(rows, deadline)
 
     # -- live model swap -------------------------------------------------
     def swap_pipeline(self, pipeline, expected=None):
@@ -287,7 +298,9 @@ class AsyncStreamEngine:
         stages get the CPU before anything overflows.
 
         Every arrival increments ``stats.enqueued`` — admitted or not —
-        so ``enqueued == packets + dropped`` holds under every policy.
+        and ``stats.in_flight`` until it is recorded or dropped, so
+        ``enqueued == packets + dropped + in_flight`` holds in every
+        snapshot and ``enqueued == packets + dropped`` once a run drains.
         """
         stats = self.stats
         blocking = self.drop_policy == "block"
@@ -306,6 +319,7 @@ class AsyncStreamEngine:
             lane = int(lane_of(packet)) if (lanes and lane_of is not None) else 0
             entry = (packet, label, now(), lane)
             stats.enqueued += 1
+            stats.in_flight += 1
             if blocking and not lanes:
                 # Lossless FIFO fast path: skip the discipline dispatch.
                 try:
@@ -346,10 +360,11 @@ class AsyncStreamEngine:
     async def _extract(self, q_in, q_rows: BoundedChannel) -> None:
         """Stateful feature extraction in queue-service order.
 
-        Drains the ingress queue greedily and forwards extracted rows as
-        one chunk per drain (the descriptor-ring idiom): queue traffic
-        scales with bursts, not packets, which keeps the async overhead
-        per packet far below the extraction work itself.  With a
+        Drains the ingress queue greedily and forwards one
+        :class:`RowBlock` per drain (the descriptor-ring idiom), built
+        by one :func:`extract_rows` call: queue traffic scales with
+        bursts, not packets, which keeps the async overhead per packet
+        far below the extraction work itself.  With a
         :class:`PriorityChannel` ingress the service order *is* the DRR
         order, so high-priority lanes are extracted first under backlog.
 
@@ -358,26 +373,29 @@ class AsyncStreamEngine:
         deficit-round-robin knob for splitting extraction CPU between
         routes by weight.
         """
-        extract = self.extractor.extract
+        extractor = self.extractor
         quantum = self.extract_quantum
         while True:
             item = await q_in.get()
-            chunk: list = []
+            entries: list = []
             done = False
             while True:
                 if item is SENTINEL:
                     done = True
                     break
-                packet, label, t_arrival, lane = item
-                chunk.append((extract(packet), label, t_arrival, lane))
-                if quantum and len(chunk) >= quantum:
+                entries.append(item)
+                if quantum and len(entries) >= quantum:
                     break
                 try:
                     item = q_in.get_nowait()
                 except asyncio.QueueEmpty:
                     break
-            if chunk:
-                await q_rows.put(chunk)
+            if entries:
+                packets, labels, stamps, lanes = zip(*entries)
+                await q_rows.put(RowBlock(
+                    extract_rows(extractor, packets), list(labels),
+                    np.array(stamps, dtype=float), np.array(lanes),
+                ))
             if done:
                 await q_rows.put(SENTINEL)
                 return
@@ -398,13 +416,12 @@ class AsyncStreamEngine:
 
         tracer = self._tracer
 
-        async def serve(seq: int, batch: list, predict) -> None:
+        async def serve(seq: int, batch: RowBlock, predict) -> None:
             try:
-                rows = np.stack([row for row, _, _, _ in batch])
                 with tracer.span("serving.infer", rows=len(batch),
                                  generation=self.pipeline_generation):
                     predictions = await loop.run_in_executor(
-                        self._executor, predict, rows
+                        self._executor, predict, batch.rows
                     )
                 await q_done.put((seq, batch, predictions))
             finally:
@@ -448,22 +465,19 @@ class AsyncStreamEngine:
             while expected in pending:
                 batch, predictions = pending.pop(expected)
                 now = self.clock.now()
-                labels = [label for _, label, _, _ in batch]
-                stats.record_batch(predictions, labels)
+                stats.record_batch(predictions, batch.labels)
+                stats.in_flight -= len(batch)
                 if capture is not None:
-                    capture.observe_batch(
-                        [row for row, _, _, _ in batch], labels, predictions,
-                        times=[t_arrival for _, _, t_arrival, _ in batch],
-                    )
-                waits = [now - t_arrival for _, _, t_arrival, _ in batch]
+                    capture.observe_batch(batch.rows, batch.labels,
+                                          predictions, times=batch.stamps)
+                waits = now - batch.stamps
                 stats.latency.observe_batch(waits)
-                stats.latency_series.observe(max(waits), t=now)
+                stats.latency_series.observe(waits.max(), t=now)
                 if lanes:
-                    by_lane: dict = {}
-                    for (_, _, t_arrival, lane) in batch:
-                        by_lane.setdefault(lane, []).append(now - t_arrival)
-                    for lane, lane_waits in by_lane.items():
-                        stats.observe_lane_latency(lane, lane_waits)
+                    # Lanes in order of first appearance in the batch.
+                    for lane in dict.fromkeys(batch.lanes.tolist()):
+                        stats.observe_lane_latency(
+                            lane, waits[batch.lanes == lane])
                 out.extend(predictions)
                 expected += 1
 

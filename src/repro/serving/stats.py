@@ -238,6 +238,10 @@ class ServingStats(StreamStats):
     * ``enqueued`` — packets that *arrived* at the ingress queue
       (admitted or not), so ``enqueued == packets + dropped`` holds
       under every drop policy once a run drains,
+    * ``in_flight`` — arrived packets neither recorded nor dropped yet
+      (queued or inside a stage), so
+      ``enqueued == packets + dropped + in_flight`` holds in every
+      snapshot, mid-run included,
     * ``drops`` — per-stage drop counters (and ``lane_drops`` per
       priority lane),
     * ``queues`` — per-stage :class:`RingSeries` of depth samples,
@@ -254,6 +258,7 @@ class ServingStats(StreamStats):
     """
 
     enqueued: int = 0
+    in_flight: int = 0
     drops: dict = field(default_factory=dict)
     lane_drops: dict = field(default_factory=dict)
     batches: int = 0
@@ -269,7 +274,9 @@ class ServingStats(StreamStats):
     finished_at: "float | None" = None
 
     def drop(self, stage: str, n: int = 1, lane: "int | None" = None) -> None:
+        """Count ``n`` arrived packets lost at ``stage``."""
         self.drops[stage] = self.drops.get(stage, 0) + n
+        self.in_flight -= n
         if lane is not None:
             self.lane_drops[lane] = self.lane_drops.get(lane, 0) + n
 
@@ -340,6 +347,7 @@ class ServingStats(StreamStats):
             "packets": self.packets,
             "enqueued": self.enqueued,
             "dropped": self.dropped,
+            "in_flight": self.in_flight,
             "drops": dict(self.drops),
             "batches": self.batches,
             "mean_batch": round(self.mean_batch, 2),

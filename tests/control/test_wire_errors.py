@@ -139,3 +139,44 @@ def test_header_lines_at_the_cap_are_read():
     request = b"GET /nowhere HTTP/1.1\r\nHost: x\r\n" + headers + b"\r\n"
     status, _ = asyncio.run(raw_exchange(request))
     assert status == 404  # parsed and dispatched, not refused
+
+
+def test_connection_past_the_cap_is_503_until_one_closes(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    fleet = b"GET /fleet HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    async def exchange(port: int, request: bytes) -> tuple[int, dict]:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(request)
+        writer.write_eof()
+        response = await asyncio.wait_for(read_response(reader), 5.0)
+        writer.close()
+        return response
+
+    async def scenario():
+        server = ControlServer(controller=StubFleet())
+        port = await server.start()
+        try:
+            # Two idle sockets hold the cap: connected, nothing sent.
+            idle = [await asyncio.open_connection("127.0.0.1", port)
+                    for _ in range(2)]
+            silent, silent_w = await asyncio.open_connection("127.0.0.1", port)
+            refused_silent = await asyncio.wait_for(read_response(silent), 5.0)
+            silent_w.close()
+            refused = await exchange(port, fleet)
+            # One idle socket hangs up; its slot is free once it is answered.
+            reader, writer = idle[0]
+            writer.write_eof()
+            hung_up = await asyncio.wait_for(read_response(reader), 5.0)
+            writer.close()
+            served = await exchange(port, fleet)
+            idle[1][1].close()
+        finally:
+            await server.stop()
+        return refused_silent, refused, hung_up, served
+
+    refused_silent, refused, hung_up, served = asyncio.run(scenario())
+    assert refused_silent[0] == 503 and refused_silent[1]["error"] == "busy"
+    assert refused[0] == 503  # a request sent before the refusal still reads it
+    assert hung_up[0] == 400
+    assert served == (200, {"workers": []})

@@ -1,8 +1,10 @@
 """Tests for the async serving engine: equivalence, drops, drain, cancel."""
 
 import asyncio
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -349,3 +351,17 @@ class TestReplayPacing:
         elapsed = time.monotonic() - start
         assert len(predictions) == 200
         assert elapsed >= 0.015  # pacing actually waited
+
+
+def test_finished_engine_is_freed_without_the_cyclic_collector():
+    """No reference cycle keeps a served engine (and its table) alive."""
+    engine = AsyncStreamEngine(ToyPipeline(), FlowmarkerTracker(),
+                               batch_size=4, max_latency=1e-3)
+    engine.process([make_packet(ts=float(i)) for i in range(10)])
+    ref = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
