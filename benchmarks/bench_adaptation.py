@@ -46,7 +46,7 @@ from conftest import write_json_result  # noqa: E402
 
 import numpy as np
 
-from repro.control import FleetController, FleetWorker
+from repro.control import FleetController, FleetWorker, start_workers, stop_workers
 from repro.distrib.driver import run_sharded
 from repro.distrib.launchers import InProcessLauncher, WorkQueueLauncher
 from repro.distrib.worker import CHAOS_KILL_ENV
@@ -60,7 +60,7 @@ from repro.drift.scenario import (
     train_initial_pipeline,
 )
 from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
-from repro.runtime import PacketFeatureExtractor
+from repro.scenario import serving_extractor
 from repro.serving import AsyncStreamEngine
 
 SEED = 13
@@ -96,7 +96,7 @@ async def run_recovery_leg(args, lines: list, failures: list) -> dict:
     capture = TrafficCapture(capacity=4096,
                              feature_names=PACKET_FEATURE_NAMES)
     engine = AsyncStreamEngine(
-        v0, PacketFeatureExtractor(), batch_size=BATCH_SIZE,
+        v0, serving_extractor("ad"), batch_size=BATCH_SIZE,
         queue_depth=512, drop_policy="block", capture=capture,
     )
     worker = FleetWorker("w0", engine, version="v0")
@@ -118,9 +118,9 @@ async def run_recovery_leg(args, lines: list, failures: list) -> dict:
         acc = capture.accuracy(last=ACCURACY_WINDOW)
         pre_shift_accuracy.append(acc)
 
-    worker.attach(asyncio.create_task(engine.run(
-        shifting_traffic(stop, pre, post, rate=RATE_PPS,
-                         shift_after_s=SHIFT_AFTER_S, on_shift=on_shift))))
+    start_workers([worker], lambda worker: shifting_traffic(
+        stop, pre, post, rate=RATE_PPS, shift_after_s=SHIFT_AFTER_S,
+        on_shift=on_shift))
     loop_task = asyncio.create_task(loop.run(stop))
 
     clock = asyncio.get_running_loop()
@@ -144,8 +144,8 @@ async def run_recovery_leg(args, lines: list, failures: list) -> dict:
                     break
             await asyncio.sleep(0.05)
     finally:
-        stop.set()
-        await asyncio.gather(worker.task, return_exceptions=True)
+        for _, error in await stop_workers([worker], stop):
+            failures.append(f"w0 died: {error}")
         await loop_task
 
     summary = engine.stats.summary()

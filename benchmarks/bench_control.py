@@ -55,21 +55,16 @@ os.environ.setdefault("REPRO_OBS_DIR", os.path.join(
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_json_result  # noqa: E402
 
-from repro.backends.taurus import TaurusBackend
 from repro.control import (
     ControlClient,
-    ControlServer,
     DeployConflict,
     FleetController,
     FleetWorker,
     RegressionGate,
+    serve_fleet,
 )
-from repro.datasets import load_botnet
-from repro.datasets.botnet import flow_label, generate_botnet_flows
-from repro.eval.baselines import train_baseline_dnn
-from repro.netsim import interleave_flows
 from repro.obs import get_registry, parse_prometheus
-from repro.runtime import FlowmarkerTracker
+from repro.scenario import botnet_trace, serving_extractor, serving_pipeline
 from repro.serving import AsyncStreamEngine, TimedPipeline, loop_replay
 
 BATCH_SIZE = 32
@@ -85,52 +80,35 @@ SLOW_PER_BATCH_S = 0.25
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def train_pipeline(name: str, n_train_flows: int, seed: int):
-    dataset = load_botnet(n_train_flows=n_train_flows, n_test_flows=2,
-                          seed=seed, per_packet_test=False)
-    net, scaler = train_baseline_dnn("bd", dataset, seed=seed)
-    return TaurusBackend().compile_model(net, scaler=scaler, name=name)
-
-
 async def run_bench(args, lines: list, failures: list,
                     obs_summary: dict) -> dict:
     n_workers = 2 if args.smoke else 3
     n_train = 60 if args.smoke else 150
     n_flows = 50 if args.smoke else 120
 
-    v0 = train_pipeline("bd-v0", n_train, seed=13)
-    v1 = train_pipeline("bd-v1", n_train, seed=29)
+    v0, _ = serving_pipeline("bd", 13, data_seed=13, n_train_flows=n_train,
+                             name="bd-v0")
+    v1, _ = serving_pipeline("bd", 29, data_seed=29, n_train_flows=n_train,
+                             name="bd-v1")
     v_slow = TimedPipeline(v1, per_batch_s=SLOW_PER_BATCH_S)
-    packets, labels = interleave_flows(
-        generate_botnet_flows(n_flows, seed=99), flow_label)
-
-    stop = asyncio.Event()
-    workers = []
-    for index in range(n_workers):
-        engine = AsyncStreamEngine(
-            v0, FlowmarkerTracker(max_conversations=4096),
-            batch_size=BATCH_SIZE, max_latency=MAX_LATENCY_US * 1e-6,
-            queue_depth=1024, drop_policy="block",
-        )
-        workers.append(FleetWorker(f"w{index}", engine, version="v0"))
+    packets, labels = botnet_trace(n_flows, seed=99)
+    workers = [
+        FleetWorker(f"w{index}", AsyncStreamEngine(
+            v0, serving_extractor("bd"), batch_size=BATCH_SIZE,
+            max_latency=MAX_LATENCY_US * 1e-6, queue_depth=1024,
+            drop_policy="block"), version="v0")
+        for index in range(n_workers)
+    ]
     gate = RegressionGate(latency_factor=2.5, latency_floor_s=0.05,
                           min_batches=4, settle_s=10.0)
     controller = FleetController(workers, gate=gate)
     controller.register_pipeline("v1", v1)
     controller.register_pipeline("v-slow", v_slow)
 
-    for worker in workers:
-        worker.attach(asyncio.create_task(
-            worker.engine.run(loop_replay(packets, labels, RATE_PPS, stop)),
-            name=f"bench-{worker.name}",
-        ))
-    server = ControlServer(controller)
-    port = await server.start()
-    client = ControlClient(port=port)
-    lines.append(f"fleet: {n_workers} workers x bd, {len(packets)} packets "
-                 f"per lap at {RATE_PPS:.0f} pkt/s, controller on :{port}")
-
-    try:
+    async def legs(port: int) -> None:
+        client = ControlClient(port=port)
+        lines.append(f"fleet: {n_workers} workers x bd, {len(packets)} packets "
+                     f"per lap at {RATE_PPS:.0f} pkt/s, controller on :{port}")
         await asyncio.sleep(1.5)  # build the pre-swap telemetry window
 
         # Leg 1: gated rolling deploy v0 -> v1 under live traffic.
@@ -268,10 +246,12 @@ async def run_bench(args, lines: list, failures: list,
         obs_summary["scrape_samples"] = len(scrape_end)
         obs_summary["span_events"] = len(trace_doc["events"])
         obs_summary["deploy_ops"] = ops_mid
-    finally:
-        stop.set()
-        await asyncio.gather(*(w.task for w in workers))
-        await server.stop()
+
+    dead = await serve_fleet(
+        controller, lambda stop: loop_replay(packets, labels, RATE_PPS, stop),
+        legs)
+    for worker, error in dead:
+        failures.append(f"{worker.name} died: {error}")
 
     lines.append("")
     worker_metrics = {}

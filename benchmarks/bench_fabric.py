@@ -37,7 +37,6 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_json_result  # noqa: E402
 
-from repro.datasets.botnet import generate_botnet_flows
 from repro.distrib.launchers import SubprocessLauncher
 from repro.distrib.runspec import DatasetRef
 from repro.distrib.worker import CHAOS_KILL_ENV
@@ -53,7 +52,7 @@ from repro.fabric import (
     deploy_plan,
     plan_fabric,
 )
-from repro.netsim import interleave_flows
+from repro.scenario import botnet_trace
 
 
 def build_spec(smoke: bool, leaf_resources: "dict | None" = None,
@@ -162,8 +161,7 @@ def gate_placement(spec: FabricSpec, smoke: bool) -> dict:
 def gate_deploy(spec: FabricSpec, smoke: bool) -> dict:
     """Gate 3: gated rollout upgrades everything, drops nothing."""
     plan = plan_fabric(spec)
-    packets, _ = interleave_flows(
-        generate_botnet_flows(30 if smoke else 60, seed=1234))
+    packets, _ = botnet_trace(30 if smoke else 60, seed=1234, labeled=False)
     t0 = time.time()
     rollout = deploy_plan(plan, packets, rate=6000.0)
     wall = time.time() - t0

@@ -47,12 +47,8 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import write_json_result  # noqa: E402
 
-from repro.backends.taurus import TaurusBackend
-from repro.datasets import load_botnet
-from repro.datasets.botnet import flow_label, generate_botnet_flows
-from repro.eval.baselines import train_baseline_dnn
-from repro.netsim import interleave_flows
-from repro.runtime import FlowmarkerTracker, StreamProcessor
+from repro.runtime import StreamProcessor
+from repro.scenario import botnet_trace, serving_extractor, serving_pipeline
 from repro.serving import AsyncStreamEngine, TimedPipeline, replay
 
 #: Emulated host<->device round trip per inference batch (seconds).  A
@@ -72,17 +68,14 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
 def build_workload(n_train_flows: int, n_stream_flows: int, seed: int = 13):
-    dataset = load_botnet(n_train_flows=n_train_flows, n_test_flows=2,
-                          seed=seed, per_packet_test=False)
-    net, scaler = train_baseline_dnn("bd", dataset, seed=0)
-    pipeline = TaurusBackend().compile_model(net, scaler=scaler, name="bd")
-    packets, labels = interleave_flows(
-        generate_botnet_flows(n_stream_flows, seed=99), flow_label)
+    pipeline, _ = serving_pipeline("bd", 0, data_seed=seed,
+                                   n_train_flows=n_train_flows)
+    packets, labels = botnet_trace(n_stream_flows, seed=99)
     return pipeline, packets, labels
 
 
 def tracker():
-    return FlowmarkerTracker(max_conversations=4096)
+    return serving_extractor("bd")
 
 
 class CostlyExtractor:
@@ -333,10 +326,8 @@ def main(argv=None) -> int:
     # pipeline-B predictions after it.
     swap_n = min(len(packets), 2000 if args.smoke else 6000)
     swap_packets, swap_labels = packets[:swap_n], labels[:swap_n]
-    dataset_b = load_botnet(n_train_flows=60 if args.smoke else 150,
-                            n_test_flows=2, seed=29, per_packet_test=False)
-    net_b, scaler_b = train_baseline_dnn("bd", dataset_b, seed=1)
-    pipeline_b = TaurusBackend().compile_model(net_b, scaler=scaler_b, name="bd2")
+    pipeline_b, _ = serving_pipeline("bd", 1, data_seed=29, name="bd2",
+                                     n_train_flows=60 if args.smoke else 150)
 
     swap_engine = AsyncStreamEngine(
         pipeline, tracker(), batch_size=BATCH_SIZE, drop_policy="block",

@@ -36,7 +36,7 @@ Run:  PYTHONPATH=src python examples/adaptive_deployment.py
 
 import asyncio
 
-from repro.control import ControlClient, ControlServer, FleetController, FleetWorker
+from repro.control import ControlClient, FleetController, FleetWorker, serve_fleet
 from repro.drift import AdaptationLoop, DriftMonitor, TrafficCapture
 from repro.drift.scenario import (
     PHASE_PRE,
@@ -47,7 +47,7 @@ from repro.drift.scenario import (
     train_initial_pipeline,
 )
 from repro.netsim.features import PACKET_FEATURE_NAMES
-from repro.runtime import PacketFeatureExtractor
+from repro.scenario import serving_extractor
 from repro.serving import AsyncStreamEngine
 
 SEED = 13
@@ -68,60 +68,55 @@ print(f"traces: {len(pre[0])} pre-shift packets, "
 
 
 async def main():
-    stop = asyncio.Event()
-
     # The capture ring taps the engine's record stage: every classified
     # packet lands here with its features, label, prediction, timestamp.
     # It is both the drift detectors' evidence and the retrain dataset.
     capture = TrafficCapture(capacity=4096,
                              feature_names=PACKET_FEATURE_NAMES)
     engine = AsyncStreamEngine(
-        v0, PacketFeatureExtractor(), batch_size=64,
+        v0, serving_extractor("ad"), batch_size=64,
         queue_depth=512,        # shallow queue: the capture stays fresh
         drop_policy="block",    # lossless — the zero-drop gate is real
         capture=capture,
     )
     worker = FleetWorker("w0", engine, version="v0")
-    controller = FleetController([worker])
-
     monitor = DriftMonitor(window=192, min_window=64,
                            feature_names=PACKET_FEATURE_NAMES)
     loop = AdaptationLoop(
-        controller, monitor,
+        FleetController([worker]), monitor,
         adaptation_spec_factory(budget=3, seed=SEED, train_epochs=10),
         shards=2, max_retries=1, check_interval_s=0.25,
     )
-    server = ControlServer(controller, adaptation=loop)
-    port = await server.start()
-    print(f"control plane on :{port} (GET /adaptation for loop state)\n")
 
     def on_shift():
         acc = capture.accuracy(last=128)
         print(f">>> traffic shifted (botnet went evasive); serving "
               f"accuracy at the shift: {acc}")
 
-    worker.attach(asyncio.create_task(engine.run(
-        shifting_traffic(stop, pre, post, rate=RATE_PPS,
-                         shift_after_s=SHIFT_AFTER_S, on_shift=on_shift))))
-    loop_task = asyncio.create_task(loop.run(stop))
+    def traffic(stop):
+        return shifting_traffic(stop, pre, post, rate=RATE_PPS,
+                                shift_after_s=SHIFT_AFTER_S, on_shift=on_shift)
 
-    clock = asyncio.get_running_loop()
-    deadline = clock.time() + 150.0
-    last_state = None
-    while clock.time() < deadline:
-        if loop.state_name != last_state:
-            print(f"    loop state: {loop.state_name}")
-            last_state = loop.state_name
-        if loop.deployed >= 1:
-            break
-        await asyncio.sleep(0.1)
-    # Let adapt-1 serve for a moment so the recovery shows in the window.
-    await asyncio.sleep(1.0)
-    remote = await ControlClient(port=port).adaptation()
-    stop.set()
-    await asyncio.gather(worker.task, return_exceptions=True)
-    await loop_task
-    await server.stop()
+    remote = {}
+
+    async def watch(port: int) -> None:
+        print(f"control plane on :{port} (GET /adaptation for loop state)\n")
+        clock = asyncio.get_running_loop()
+        deadline = clock.time() + 150.0
+        last_state = None
+        while clock.time() < deadline:
+            if loop.state_name != last_state:
+                print(f"    loop state: {loop.state_name}")
+                last_state = loop.state_name
+            if loop.deployed >= 1:
+                break
+            await asyncio.sleep(0.1)
+        # Let adapt-1 serve for a moment so the recovery shows in the window.
+        await asyncio.sleep(1.0)
+        remote.update(await ControlClient(port=port).adaptation())
+
+    # Workers, adaptation loop and control server run until watch() ends.
+    await serve_fleet(loop.controller, traffic, watch, adaptation=loop)
     return remote, worker, monitor
 
 

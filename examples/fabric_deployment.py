@@ -33,7 +33,6 @@ Run:  PYTHONPATH=src python examples/fabric_deployment.py
 (see docs/fabric.md for the topology schema and determinism argument)
 """
 
-from repro.datasets.botnet import generate_botnet_flows
 from repro.distrib.runspec import DatasetRef
 from repro.fabric import (
     Demand,
@@ -47,7 +46,7 @@ from repro.fabric import (
     ingress_tier,
     plan_fabric,
 )
-from repro.netsim import interleave_flows
+from repro.scenario import botnet_trace
 
 
 def build_spec() -> FabricSpec:
@@ -93,7 +92,7 @@ def main() -> None:
           f"({len(plan.to_json())} bytes)")
 
     print("\n== topology-aware routing over a replayed trace ==")
-    packets, _ = interleave_flows(generate_botnet_flows(40, seed=1234))
+    packets, _ = botnet_trace(40, seed=1234, labeled=False)
     by_tier: dict = {}
     for packet in packets:
         tier = ingress_tier(spec.topology, packet)

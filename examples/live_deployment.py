@@ -21,9 +21,8 @@ import repro
 from repro.alchemy import DataLoader, Model, Platforms
 from repro.core.export import export_report
 from repro.datasets import load_botnet
-from repro.datasets.botnet import flow_label, generate_botnet_flows
-from repro.netsim import interleave_flows
 from repro.runtime import FlowmarkerTracker
+from repro.scenario import TRACE_SEED_OFFSET, botnet_trace
 from repro.serving import AsyncStreamEngine
 
 SEED = 0
@@ -76,8 +75,8 @@ evaluator = ModelEvaluator(
 )
 _, pipeline, _ = evaluator.rebuild(best.best_config)
 
-flows = generate_botnet_flows(200, seed=SEED + 1234)
-packets, labels = interleave_flows(flows, flow_label)
+N_FLOWS = 200
+packets, labels = botnet_trace(N_FLOWS, seed=SEED + TRACE_SEED_OFFSET)
 
 tracker = FlowmarkerTracker(max_conversations=1024)
 engine = AsyncStreamEngine(
@@ -93,7 +92,7 @@ engine.process(packets, labels)
 
 stats = engine.stats
 summary = stats.summary()
-print(f"\nstreamed {stats.packets} packets across {len(flows)} flows "
+print(f"\nstreamed {stats.packets} packets across {N_FLOWS} flows "
       f"at {summary['throughput_pps']:.0f} pkt/s")
 print(f"online per-packet accuracy: {stats.accuracy:.3f}")
 print(f"flagged-malicious rate:     {stats.positive_rate():.3f}")

@@ -9,12 +9,15 @@ over HTTP:
   :class:`~repro.serving.engine.AsyncStreamEngine` workers under one
   supervisor: rolling deploys gated per worker on its own telemetry
   (auto-rollback on regression or death), instant fleet rollback, live
-  traffic splits, one-shot fleet snapshots,
+  traffic splits, one-shot fleet snapshots; :func:`start_workers` /
+  :func:`stop_workers` run each worker's engine on its traffic source
+  and stop the fleet, reporting dead workers,
 * :class:`RegressionGate` — the deploy gate: post-swap vs pre-swap
   window comparison on p99 latency and drop rate,
 * :class:`ControlServer` / :class:`ControlClient` — a stdlib-asyncio
   HTTP pair (``GET /fleet``, ``POST /deploy``, ``POST /rollback``,
-  ``POST /traffic-split``; concurrent mutations get ``409``).
+  ``POST /traffic-split``; concurrent mutations get ``409``);
+  :func:`serve_fleet` runs a whole fleet behind the server.
 
 See ``docs/control.md`` for the operator-facing tour and
 ``benchmarks/bench_control.py`` for a live mid-traffic rollout.
@@ -24,9 +27,11 @@ from repro.control.client import ControlClient
 from repro.control.controller import (
     FleetController,
     FleetWorker,
+    start_workers,
+    stop_workers,
     workers_from_router,
 )
-from repro.control.server import ControlServer
+from repro.control.server import ControlServer, serve_fleet
 from repro.control.telemetry import (
     RegressionGate,
     WorkerSnapshot,
@@ -44,6 +49,9 @@ __all__ = [
     "FleetWorker",
     "RegressionGate",
     "WorkerSnapshot",
+    "serve_fleet",
+    "start_workers",
+    "stop_workers",
     "window_metrics",
     "window_percentile",
     "workers_from_router",

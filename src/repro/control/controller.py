@@ -108,6 +108,33 @@ class FleetWorker:
         }
 
 
+def start_workers(workers: list, source) -> None:
+    """Run each worker's engine on its own traffic source.
+
+    ``source(worker)`` returns the async ``(packet, label)`` iterator
+    the worker serves.  Each engine runs as the task
+    ``fleet-<worker>``, attached to its worker for liveness; stop them
+    with :func:`stop_workers`.
+    """
+    for worker in workers:
+        worker.attach(asyncio.create_task(
+            worker.engine.run(source(worker)), name=f"fleet-{worker.name}"))
+
+
+async def stop_workers(workers: list, stop: asyncio.Event) -> list:
+    """Set ``stop`` and wait for every attached worker task to finish.
+
+    Returns ``[(worker, error), ...]`` for each worker whose run task
+    raised — the dead workers, for the caller to report or fail on.
+    """
+    stop.set()
+    running = [worker for worker in workers if worker.task is not None]
+    results = await asyncio.gather(
+        *(worker.task for worker in running), return_exceptions=True)
+    return [(worker, result) for worker, result in zip(running, results)
+            if isinstance(result, Exception)]
+
+
 def workers_from_router(router, versions: "dict | None" = None) -> list:
     """Wrap a :class:`PipelineRouter`'s routes as fleet workers.
 

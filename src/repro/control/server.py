@@ -315,3 +315,33 @@ class ControlServer:
                          "weights": controller.traffic_split(
                              payload["weights"])}
         return 404, {"error": "not-found", "detail": path}
+
+
+async def serve_fleet(controller, source, until, host: str = "127.0.0.1",
+                      port: int = 0, adaptation=None) -> list:
+    """Serve ``controller``'s fleet behind a :class:`ControlServer`.
+
+    Starts every worker on ``source(stop)`` (see
+    :func:`~repro.control.controller.start_workers`), then
+    ``adaptation.run(stop)`` when a loop is given, then the server, and
+    awaits ``until(port)``.  However that ends, the workers, the loop
+    and the server are stopped; returns the dead workers as
+    :func:`~repro.control.controller.stop_workers` does.
+    """
+    from repro.control.controller import start_workers, stop_workers
+
+    stop = asyncio.Event()
+    workers = list(controller.workers.values())
+    start_workers(workers, lambda worker: source(stop))
+    loop_task = (asyncio.create_task(adaptation.run(stop))
+                 if adaptation is not None else None)
+    server = ControlServer(controller, host=host, port=port,
+                           adaptation=adaptation)
+    try:
+        await until(await server.start())
+    finally:
+        dead = await stop_workers(workers, stop)
+        if loop_task is not None:
+            await loop_task
+        await server.stop()
+    return dead

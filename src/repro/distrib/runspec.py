@@ -50,6 +50,8 @@ from repro.wire import Fields
 
 __all__ = [
     "APP_LOADERS",
+    "APP_SPECS",
+    "AppSpec",
     "DatasetRef",
     "ModelEntry",
     "RunSpec",
@@ -57,13 +59,53 @@ __all__ = [
     "load_dataset_npz",
 ]
 
+
+@dataclass(frozen=True)
+class AppSpec:
+    """One built-in application and everything keyed on it.
+
+    ``seed_offset`` keeps each app's dataset stream independent of the
+    others' for one run seed.  ``table2_quick``/``table2_full`` are its
+    Table-2 dataset sizes.  Serial and sharded paths both load through
+    ``loader`` with the same arguments, so they materialize identical
+    arrays.
+    """
+
+    app: str
+    model: str
+    loader: object = field(repr=False)
+    seed_offset: int
+    table2_quick: dict = field(hash=False)
+    table2_full: dict = field(hash=False)
+
+    def ref(self, seed: int, **sizes) -> "DatasetRef":
+        """A :class:`DatasetRef` to the app's dataset for run seed ``seed``."""
+        return DatasetRef.for_app(self.app, seed=seed + self.seed_offset,
+                                  **sizes)
+
+    def table2_ref(self, seed: int, quick: bool) -> "DatasetRef":
+        """:meth:`ref` at the app's quick or full Table-2 size."""
+        return self.ref(seed, **(self.table2_quick if quick else self.table2_full))
+
+
+#: The built-in applications, by app key.
+APP_SPECS = {
+    spec.app: spec for spec in (
+        AppSpec("ad", "anomaly_detection", load_nslkdd, 7,
+                {"n_train": 1600, "n_test": 600},
+                {"n_train": 2400, "n_test": 800}),
+        AppSpec("tc", "traffic_classification", load_iot, 11,
+                {"n_train": 1600, "n_test": 600},
+                {"n_train": 2500, "n_test": 900}),
+        AppSpec("bd", "botnet_detection", load_botnet, 13,
+                {"n_train_flows": 300, "n_test_flows": 120},
+                {"n_train_flows": 500, "n_test_flows": 200}),
+    )
+}
+
 #: Registered named dataset loaders a :class:`DatasetRef` may point at.
 #: Each is a deterministic function of its keyword arguments.
-APP_LOADERS = {
-    "ad": load_nslkdd,
-    "tc": load_iot,
-    "bd": load_botnet,
-}
+APP_LOADERS = {app: spec.loader for app, spec in APP_SPECS.items()}
 
 
 def save_dataset_npz(dataset: Dataset, path: str) -> str:

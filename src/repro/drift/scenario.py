@@ -144,14 +144,11 @@ def train_initial_pipeline(
 ):
     """The v0 pipeline: baseline DNN trained on *pre-shift* traffic only,
     compiled for Taurus.  Returns ``(pipeline, dataset)``."""
-    from repro.backends.taurus import TaurusBackend
-    from repro.eval.baselines import train_baseline_dnn
+    from repro.scenario import serving_pipeline
 
-    dataset = packet_dataset(n_train_flows, n_test_flows,
-                             phase=PHASE_PRE, seed=seed)
-    net, scaler = train_baseline_dnn("ad", dataset, seed=seed)
-    pipeline = TaurusBackend().compile_model(net, scaler=scaler, name="ad-v0")
-    return pipeline, dataset
+    return serving_pipeline("ad", seed, data_seed=seed,
+                            n_train_flows=n_train_flows,
+                            n_test_flows=n_test_flows, name="ad-v0")
 
 
 def adaptation_spec_factory(

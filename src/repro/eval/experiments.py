@@ -15,7 +15,7 @@ from repro.backends.fpga.resources import loopback_utilisation
 from repro.backends.fpga.power import SHELL_POWER_W
 from repro.backends.taurus import TaurusBackend, TaurusGrid
 from repro.core.fusion import fuse_datasets
-from repro.datasets import load_botnet, load_iot, load_nslkdd
+from repro.datasets import load_botnet
 from repro.datasets.botnet import generate_botnet_flows, partial_marker_dataset
 from repro.eval.baselines import train_baseline_dnn
 from repro.ml.metrics import f1_score
@@ -25,21 +25,14 @@ APPS = ("ad", "tc", "bd")
 
 
 def _load_app(app: str, quick: bool, seed: int):
-    if app == "ad":
-        n_train, n_test = (1600, 600) if quick else (2400, 800)
-        return load_nslkdd(n_train=n_train, n_test=n_test, seed=seed + 7)
-    if app == "tc":
-        n_train, n_test = (1600, 600) if quick else (2500, 900)
-        return load_iot(n_train=n_train, n_test=n_test, seed=seed + 11)
-    if app == "bd":
-        n_train, n_test = (300, 120) if quick else (500, 200)
-        return load_botnet(
-            n_train_flows=n_train, n_test_flows=n_test, seed=seed + 13
-        )
-    raise ValueError(f"unknown app {app!r}")
+    from repro.distrib.runspec import APP_SPECS
+
+    return APP_SPECS[app].table2_ref(seed, quick).materialize()
 
 
 def _make_model(app: str, dataset, algorithms=("dnn",)):
+    from repro.distrib.runspec import APP_SPECS
+
     @DataLoader
     def loader():
         return dataset
@@ -48,8 +41,7 @@ def _make_model(app: str, dataset, algorithms=("dnn",)):
         {
             "optimization_metric": ["f1"],
             "algorithm": list(algorithms),
-            "name": {"ad": "anomaly_detection", "tc": "traffic_classification",
-                     "bd": "botnet_detection"}[app],
+            "name": APP_SPECS[app].model,
             "data_loader": loader,
         }
     )
@@ -71,23 +63,15 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
     """
     from repro.core.compiler import model_search_seed
     from repro.core.reports import CompileReport
-    from repro.distrib import DatasetRef, ModelEntry, RunSpec, make_launcher, run_sharded
+    from repro.distrib import ModelEntry, RunSpec, make_launcher, run_sharded
+    from repro.distrib.runspec import APP_SPECS
 
-    sizes = {
-        "ad": {"n_train": 1600, "n_test": 600} if quick else {"n_train": 2400, "n_test": 800},
-        "tc": {"n_train": 1600, "n_test": 600} if quick else {"n_train": 2500, "n_test": 900},
-        "bd": {"n_train_flows": 300, "n_test_flows": 120} if quick
-              else {"n_train_flows": 500, "n_test_flows": 200},
-    }
-    offsets = {"ad": 7, "tc": 11, "bd": 13}
-    names = {"ad": "anomaly_detection", "tc": "traffic_classification",
-             "bd": "botnet_detection"}
     spec = RunSpec(
         target="taurus",
         models=[
             ModelEntry(
-                name=names[app],
-                dataset=DatasetRef.for_app(app, seed=seed + offsets[app], **sizes[app]),
+                name=APP_SPECS[app].model,
+                dataset=APP_SPECS[app].table2_ref(seed, quick),
                 metric="f1",
                 algorithms=("dnn",),
                 seed=model_search_seed(seed, 0),
@@ -108,14 +92,15 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
     )
     reports = {}
     for app in apps:
-        report = merged.report.models[names[app]]
+        name = APP_SPECS[app].model
+        report = merged.report.models[name]
         # Re-wrap as the single-model CompileReport the serial loop hands
         # back, so downstream consumers (table 5 rebuilds) are unchanged.
         reports[app] = CompileReport(
             target="taurus",
             constraints=merged.report.constraints,
-            schedule=names[app],
-            models={names[app]: report},
+            schedule=name,
+            models={name: report},
             total_resources={k: round(v, 4) for k, v in report.resources.items()},
             feasible=report.feasible,
             seed=seed,

@@ -23,7 +23,13 @@ from __future__ import annotations
 import asyncio
 
 from repro.alchemy.platforms import PlatformSpec
-from repro.control import FleetController, FleetWorker, RegressionGate
+from repro.control import (
+    FleetController,
+    FleetWorker,
+    RegressionGate,
+    start_workers,
+    stop_workers,
+)
 from repro.core.evaluator import ModelEvaluator
 from repro.distrib.runspec import ModelEntry
 from repro.errors import FabricError
@@ -52,12 +58,10 @@ def extractor_for(app: str):
     ``ad``'s NSL-KDD features are not derivable from packets at all —
     deploying it is a spec error, reported as such.
     """
-    from repro.runtime import FlowmarkerTracker, PacketFeatureExtractor
+    from repro.scenario import serving_extractor
 
-    if app == "bd":
-        return FlowmarkerTracker(max_conversations=4096)
-    if app == "tc":
-        return PacketFeatureExtractor()
+    if app in ("bd", "tc"):
+        return serving_extractor(app)
     raise FabricError(
         f"app {app!r} is not packet-servable (its features are not "
         f"derivable from a packet stream); deployable apps: ['bd', 'tc']"
@@ -193,11 +197,7 @@ async def _deploy(plan, spec, pipelines, packets, gate, rate,
     for key, pipeline in pipelines.items():
         tier, _, app = key.partition(":")
         controller.register_pipeline(f"plan-{tier}-{app}", pipeline)
-    for worker in workers:
-        worker.attach(asyncio.create_task(
-            worker.engine.run(loop_replay(packets, None, rate, stop)),
-            name=f"fabric-{worker.name}",
-        ))
+    start_workers(workers, lambda worker: loop_replay(packets, None, rate, stop))
     report = {"ok": True, "tiers": {}, "workers": {},
               "dropped": 0, "conserved": True}
     try:
@@ -222,9 +222,7 @@ async def _deploy(plan, spec, pipelines, packets, gate, rate,
             if not report["ok"]:
                 break
     finally:
-        stop.set()
-        await asyncio.gather(
-            *(w.task for w in workers if w.task), return_exceptions=True)
+        await stop_workers(workers, stop)
     for worker in workers:
         counters = worker.engine.stats.counters()
         report["workers"][worker.name] = {

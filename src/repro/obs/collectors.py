@@ -31,9 +31,9 @@ def serving_samples(worker: str, stats) -> list:
     """Prometheus samples for one engine's :class:`ServingStats`.
 
     ``worker`` labels every sample so a fleet scrape keeps engines
-    apart.  Counter totals come from :meth:`ServingStats.counters`;
-    latency quantiles (gauges — they are windowed, not monotonic) come
-    from the ring-buffered latency histogram via :meth:`summary`.
+    apart.  Counter totals come from :meth:`ServingStats.counters`; the
+    end-to-end latency histogram is exported as it is kept, as
+    ``repro_serving_latency_seconds`` buckets, sum and count.
     """
     pairs = (("worker", worker),)
     samples: list = []
@@ -42,15 +42,13 @@ def serving_samples(worker: str, stats) -> list:
             f"repro_serving_{key}_total", "counter",
             _COUNTER_HELP.get(key, ""), pairs, float(value),
         ))
-    summary = stats.summary()
-    for quantile in ("p50", "p95", "p99"):
-        key = f"latency_{quantile}_s"
-        if key in summary and summary[key] is not None:
-            samples.append((
-                f"repro_serving_{key}", "gauge",
-                f"end-to-end latency {quantile} (seconds, ring window)",
-                pairs, float(summary[key]),
-            ))
+    buckets = stats.latency.buckets()
+    samples.append((
+        "repro_serving_latency_seconds", "histogram",
+        "end-to-end packet latency (seconds)", pairs,
+        {"buckets": buckets, "sum": stats.latency.sum,
+         "count": buckets[-1][1]},
+    ))
     return samples
 
 

@@ -15,9 +15,10 @@ Three instruments, the classic trio:
 
 * :class:`Counter` — monotonically increasing float (``_total`` names),
 * :class:`Gauge` — a settable level (queue depth, fleet size),
-* :class:`Histogram` — log-binned observation buckets (the same
-  geometric-bin trade :class:`~repro.serving.stats.LatencyHistogram`
-  makes), rendered as cumulative Prometheus ``_bucket`` samples.
+* :class:`Histogram` — log-binned observation buckets, rendered as
+  cumulative Prometheus ``_bucket`` samples.  It is the one log-binned
+  histogram in the tree: serving latency
+  (:class:`~repro.serving.stats.ServingStats`) records into it too.
 
 Zero-cost no-op mode
 --------------------
@@ -49,6 +50,8 @@ import json
 import os
 import re
 import threading
+
+import numpy as np
 
 from repro.errors import HomunculusError
 
@@ -120,56 +123,93 @@ class Gauge:
 
 
 class Histogram:
-    """Log-binned observation histogram with cumulative bucket export.
+    """Log-binned histogram with online percentiles and bucket export.
 
-    Buckets are geometric (``bins_per_decade`` per decade between
-    ``low`` and ``high``), bounding memory while keeping a few percent
-    relative error per bin — the right trade for latency-style
-    distributions spanning orders of magnitude.  Exported buckets are
-    *cumulative* with an upper edge (``le``), matching the Prometheus
-    histogram convention, so downstream tooling can compute quantiles.
+    Fixed log-spaced bins (default 1 us .. 100 s, 16 per decade) bound
+    memory while keeping relative error a few percent per bin — the
+    trade an HDR-style telemetry register file makes in hardware.  A
+    value lands in the first bin whose upper edge ``le`` satisfies
+    ``value <= le`` (the Prometheus rule), so :meth:`buckets` is the
+    cumulative ``_bucket`` series as is and :meth:`percentile` answers
+    with the upper edge of a bin.  ``_counts`` holds one underflow bin
+    (``value <= low``), one bin per edge interval, and one overflow bin
+    (``value > high``).
+
+    Example::
+
+        h = Histogram()
+        h.observe(0.0042)                  # one 4.2 ms sample
+        h.observe_batch([1e-4, 2e-4])      # vectorized
+        h.percentile(99)                   # upper edge of the p99 bin
+        h.buckets()[-1]                    # ["+Inf", 3]
     """
 
-    __slots__ = ("edges", "counts", "count", "sum")
-
-    def __init__(self, low: float = 1e-6, high: float = 100.0,
-                 bins_per_decade: int = 8) -> None:
+    def __init__(
+        self,
+        low: float = 1e-6,
+        high: float = 100.0,
+        bins_per_decade: int = 16,
+    ) -> None:
         if not 0 < low < high:
             raise HomunculusError("histogram needs 0 < low < high")
         if bins_per_decade < 1:
             raise HomunculusError("bins_per_decade must be >= 1")
-        import math
-        decades = math.log10(high / low)
+        decades = np.log10(high / low)
         n_bins = max(1, int(round(decades * bins_per_decade)))
-        ratio = (high / low) ** (1.0 / n_bins)
-        self.edges = [low * ratio ** i for i in range(n_bins + 1)]
-        self.counts = [0] * (n_bins + 2)  # +underflow ... +overflow(+Inf)
+        self._edges = np.geomspace(low, high, n_bins + 1)
+        self._counts = np.zeros(n_bins + 2, dtype=np.int64)
         self.count = 0
         self.sum = 0.0
+        self.max = 0.0
+        self.min = float("inf")
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        value = max(float(value), 0.0)
+        self._counts[int(np.searchsorted(self._edges, value, side="left"))] += 1
         self.count += 1
         self.sum += value
-        lo, hi = 0, len(self.edges)
-        # bisect_right over the (short) edge list.
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.edges[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        if value > self.max:
+            self.max = value
+        if value < self.min:
+            self.min = value
+
+    def observe_batch(self, values) -> None:
+        """Vectorized :meth:`observe` over an array of values."""
+        values = np.maximum(np.asarray(values, dtype=float), 0.0)
+        if values.size == 0:
+            return
+        bins = np.searchsorted(self._edges, values, side="left")
+        self._counts += np.bincount(bins, minlength=self._counts.size)
+        self.count += int(values.size)
+        self.sum += float(values.sum())
+        self.max = max(self.max, float(values.max()))
+        self.min = min(self.min, float(values.min()))
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        """Upper edge of the bin holding the ``q``-th percentile (0..100)."""
+        if not 0 <= q <= 100:
+            raise HomunculusError(f"percentile wants 0..100, got {q}")
+        if self.count == 0:
+            return 0.0
+        rank = q / 100.0 * self.count
+        index = int(np.searchsorted(np.cumsum(self._counts), rank, side="left"))
+        if index >= len(self._edges):
+            return self.max
+        return float(self._edges[index])
 
     def buckets(self) -> list:
-        """Cumulative ``[le, count]`` pairs, ending with ``["+Inf", n]``."""
-        out = []
-        running = 0
-        for index, edge in enumerate(self.edges):
-            running += self.counts[index]
-            out.append([edge, running])
-        out.append(["+Inf", self.count])
-        return out
+        """Cumulative ``[le, count]`` pairs, ending with ``["+Inf", n]``.
+
+        Read from one copy of the bins, so the series stays monotone
+        even while another thread observes.
+        """
+        running = np.cumsum(self._counts.copy()).tolist()
+        return ([[float(edge), n] for edge, n in zip(self._edges, running)]
+                + [["+Inf", running[-1]]])
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -257,7 +297,7 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "", labels: tuple = (),
                   low: float = 1e-6, high: float = 100.0,
-                  bins_per_decade: int = 8):
+                  bins_per_decade: int = 16):
         family = self._family(name, "histogram", help, labels,
                               low=low, high=high,
                               bins_per_decade=bins_per_decade)
@@ -398,8 +438,10 @@ def render_prometheus(snapshot: dict, extra_samples: "list | None" = None) -> st
     ``extra_samples`` is a list of ``(name, kind, help, label_pairs,
     value)`` tuples for metrics that live outside the registry — e.g.
     the control server re-exposing each worker's
-    :class:`~repro.serving.stats.ServingStats` counters at scrape time
-    (a pull, so the packet path never pays for it).
+    :class:`~repro.serving.stats.ServingStats` at scrape time (a pull,
+    so the packet path never pays for it).  A ``histogram`` sample's
+    value is a ``{"buckets", "sum", "count"}`` dict, the same shape a
+    snapshot holds.
     """
     lines: list = []
     seen_headers: set = set()
@@ -412,27 +454,24 @@ def render_prometheus(snapshot: dict, extra_samples: "list | None" = None) -> st
             lines.append(f"# HELP {name} {_escape_help(help)}")
         lines.append(f"# TYPE {name} {kind}")
 
+    def emit(name: str, kind: str, pairs: list, value) -> None:
+        if kind != "histogram":
+            lines.append(f"{name}{_label_str(pairs)} {_format_value(value)}")
+            return
+        for le, count in value["buckets"]:
+            bucket_pairs = pairs + [["le", _format_value(le)]]
+            lines.append(f"{name}_bucket{_label_str(bucket_pairs)} {int(count)}")
+        lines.append(f"{name}_sum{_label_str(pairs)} "
+                     f"{_format_value(value['sum'])}")
+        lines.append(f"{name}_count{_label_str(pairs)} {int(value['count'])}")
+
     for name, family in sorted(snapshot.items()):
         header(name, family["kind"], family["help"])
         for label_key, value in family["samples"].items():
-            pairs = json.loads(label_key)
-            if family["kind"] == "histogram":
-                for le, count in value["buckets"]:
-                    bucket_pairs = pairs + [["le", _format_value(le)]]
-                    lines.append(
-                        f"{name}_bucket{_label_str(bucket_pairs)} {int(count)}"
-                    )
-                lines.append(f"{name}_sum{_label_str(pairs)} "
-                             f"{_format_value(value['sum'])}")
-                lines.append(f"{name}_count{_label_str(pairs)} "
-                             f"{int(value['count'])}")
-            else:
-                lines.append(
-                    f"{name}{_label_str(pairs)} {_format_value(value)}"
-                )
+            emit(name, family["kind"], json.loads(label_key), value)
     for name, kind, help, pairs, value in (extra_samples or ()):
         header(name, kind, help)
-        lines.append(f"{name}{_label_str(list(pairs))} {_format_value(value)}")
+        emit(name, kind, [list(pair) for pair in pairs], value)
     return "\n".join(lines) + "\n"
 
 

@@ -44,15 +44,20 @@ import threading
 import time
 
 from repro.errors import HomunculusError
+from repro.fsio import atomic_write_json
 from repro.obs.registry import REGISTRY, enabled
 
 __all__ = [
     "NULL_TRACER",
     "Tracer",
+    "export_trace",
     "get_tracer",
     "load_events",
+    "summarize_artifacts",
+    "tail_events",
     "to_chrome_trace",
     "validate_chrome_trace",
+    "write_sharded_obs",
 ]
 
 #: Default directory (under the cwd) for obs artifacts when a sink path
@@ -239,7 +244,7 @@ def reset_tracer() -> None:
 
 
 # --------------------------------------------------------------------------- #
-# loading and export
+# loading and export: what ``cli obs`` reads back from a run's obs dir
 # --------------------------------------------------------------------------- #
 def load_events(path: str) -> list:
     """Read a JSONL trace sink back into a list of event dicts."""
@@ -313,3 +318,97 @@ def validate_chrome_trace(doc: dict) -> list:
         if isinstance(event.get("dur"), (int, float)) and event["dur"] < 0:
             problems.append(f"{where}: negative dur")
     return problems
+
+
+def summarize_artifacts(directory: str) -> str:
+    """The metrics snapshot and per-name span counts under ``directory``."""
+    metrics_path = os.path.join(directory, "metrics.json")
+    trace_path = os.path.join(directory, "trace.jsonl")
+    lines: list = []
+    if os.path.exists(metrics_path):
+        with open(metrics_path, encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+        lines.append(f"metrics ({metrics_path}):")
+        for name in sorted(snapshot):
+            family = snapshot[name]
+            for label_key in sorted(family.get("samples", {})):
+                value = family["samples"][label_key]
+                if family.get("kind") == "histogram":
+                    value = f"count={value['count']} sum={value['sum']:.6g}"
+                labels = ",".join(f"{k}={v}" for k, v in json.loads(label_key))
+                suffix = f"{{{labels}}}" if labels else ""
+                lines.append(f"  {name}{suffix} = {value}")
+    if os.path.exists(trace_path):
+        counts: dict = {}
+        total = 0.0
+        for event in load_events(trace_path):
+            counts[event["name"]] = counts.get(event["name"], 0) + 1
+            total += event.get("dur", 0.0)
+        lines.append(f"spans ({trace_path}): {sum(counts.values())} events, "
+                     f"{total:.3f} s total")
+        lines.extend(f"  {name} x {counts[name]}" for name in sorted(counts))
+    if not lines:
+        raise HomunculusError(f"nothing recorded under {directory!r} "
+                              f"(run with REPRO_OBS=1 first)")
+    return "\n".join(lines)
+
+
+def tail_events(directory: str, n: int) -> list:
+    """One line per span for the ``n`` most recent spans (none for 0)."""
+    trace_path = os.path.join(directory, "trace.jsonl")
+    if not os.path.exists(trace_path):
+        raise HomunculusError(f"no trace at {trace_path!r}")
+    events = load_events(trace_path)
+    lines = []
+    for event in events[-n:] if n else []:
+        detail = " ".join(
+            f"{k}={v}" for k, v in sorted((event.get("args") or {}).items()))
+        lines.append(f"{event['ts']:.6f} {event['name']} "
+                     f"dur={event['dur'] * 1e3:.3f}ms"
+                     + (f" {detail}" if detail else ""))
+    return lines
+
+
+def export_trace(paths: list, out_path: str) -> int:
+    """Fold span sinks into one validated Chrome trace at ``out_path``.
+
+    Returns the number of events written.  A missing input, or a
+    document that fails validation (one problem per line), raises.
+    """
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        raise HomunculusError(f"no trace at {missing[0]!r}")
+    events: list = []
+    for path in paths:
+        events.extend(load_events(path))
+    doc = to_chrome_trace(events)
+    problems = validate_chrome_trace(doc)
+    if problems:
+        raise HomunculusError("\n".join(problems))
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=1, sort_keys=True)
+    return len(doc["traceEvents"])
+
+
+def write_sharded_obs(obs: dict) -> "str | None":
+    """Write a sharded run's merged obs artifacts; returns a summary line.
+
+    Spans pooled from every shard land as a Chrome trace plus the merged
+    metrics snapshot under the obs dir, so ``cli obs summary`` and
+    ``chrome://tracing`` both work on a fleet run.  ``None`` (and
+    nothing written) when the run recorded no spans.
+    """
+    spans = obs.get("spans") or []
+    if not spans:
+        return None
+    directory = obs_dir()
+    os.makedirs(directory, exist_ok=True)
+    atomic_write_json(os.path.join(directory, "metrics.json"),
+                      obs.get("metrics", {}))
+    with open(os.path.join(directory, "trace.json"), "w",
+              encoding="utf-8") as handle:
+        json.dump(to_chrome_trace(spans), handle, indent=1, sort_keys=True)
+    timeline = obs.get("timeline", {})
+    return (f"obs: {len(spans)} spans from {len(timeline.get('shards', []))} "
+            f"shard(s) -> {directory} (critical path "
+            f"{timeline.get('critical_path_s', 0.0):.3f} s)")

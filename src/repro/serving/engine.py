@@ -519,9 +519,15 @@ class AsyncStreamEngine:
         try:
             await asyncio.gather(*tasks)
         finally:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            # Cancel until every stage has stopped: before Python 3.12,
+            # the batcher's asyncio.wait_for swallows a cancel that lands
+            # as its inner get completes, and one cancel would then leave
+            # run() waiting forever on a stage fed by a failed one.
+            pending = tasks
+            while pending:
+                for task in pending:
+                    task.cancel()
+                _, pending = await asyncio.wait(pending, timeout=0.1)
             self._executor.shutdown(wait=True, cancel_futures=True)
             self.stats.finished_at = self.clock.now()
         return out

@@ -5,10 +5,10 @@ counts, accuracy, confusion) with the operator-facing signals a serving
 runtime must report — end-to-end latency percentiles, per-stage
 queue-depth **time series**, drop counters, batch sizes, pipeline-swap
 events and throughput.  Percentiles are kept in O(1) memory
-(:class:`LatencyHistogram`); depth and latency samples are kept in
-fixed-capacity ring buffers (:class:`RingSeries`), the way a switch
-exports telemetry registers plus a short history ring rather than
-logging per-packet records.
+(:class:`~repro.obs.registry.Histogram`); depth and latency samples
+are kept in fixed-capacity ring buffers (:class:`RingSeries`), the way
+a switch exports telemetry registers plus a short history ring rather
+than logging per-packet records.
 """
 
 from __future__ import annotations
@@ -18,83 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import HomunculusError
+from repro.obs.registry import Histogram
 from repro.runtime.stream import StreamStats
 
 
-class LatencyHistogram:
-    """Log-binned latency histogram with online percentile queries.
-
-    Fixed log-spaced bins (default 1 us .. 100 s) bound memory while
-    keeping relative error a few percent per bin — the same trade an
-    HDR-style telemetry register file makes in hardware.
-
-    Example::
-
-        h = LatencyHistogram()
-        h.observe(0.0042)                  # one 4.2 ms sample
-        h.observe_batch([1e-4, 2e-4])      # vectorized
-        h.percentile(99)                   # upper edge of the p99 bin
-    """
-
-    def __init__(
-        self,
-        low: float = 1e-6,
-        high: float = 100.0,
-        bins_per_decade: int = 16,
-    ) -> None:
-        if not 0 < low < high:
-            raise HomunculusError("need 0 < low < high for latency bins")
-        decades = np.log10(high / low)
-        n_bins = max(1, int(round(decades * bins_per_decade)))
-        self._edges = np.geomspace(low, high, n_bins + 1)
-        self._counts = np.zeros(n_bins + 2, dtype=np.int64)  # +under/overflow
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self.min = float("inf")
-
-    def observe(self, seconds: float) -> None:
-        seconds = float(seconds)
-        if seconds < 0:
-            seconds = 0.0
-        self._counts[int(np.searchsorted(self._edges, seconds, side="right"))] += 1
-        self.count += 1
-        self.total += seconds
-        if seconds > self.max:
-            self.max = seconds
-        if seconds < self.min:
-            self.min = seconds
-
-    def observe_batch(self, seconds) -> None:
-        """Vectorized :meth:`observe` over an array of latencies."""
-        seconds = np.maximum(np.asarray(seconds, dtype=float), 0.0)
-        if seconds.size == 0:
-            return
-        bins = np.searchsorted(self._edges, seconds, side="right")
-        self._counts += np.bincount(bins, minlength=self._counts.size)
-        self.count += int(seconds.size)
-        self.total += float(seconds.sum())
-        self.max = max(self.max, float(seconds.max()))
-        self.min = min(self.min, float(seconds.min()))
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Upper edge of the bin holding the ``q``-th percentile (0..100)."""
-        if not 0 <= q <= 100:
-            raise HomunculusError(f"percentile wants 0..100, got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q / 100.0 * self.count
-        cum = np.cumsum(self._counts)
-        index = int(np.searchsorted(cum, rank, side="left"))
-        if index == 0:
-            return float(self._edges[0])
-        if index >= len(self._edges):
-            return self.max
-        return float(self._edges[index])
+#: Serving's name for the shared log-binned histogram.
+LatencyHistogram = Histogram
 
 
 class RingSeries:

@@ -131,3 +131,26 @@ class TestContentType:
         assert " 200 " in head.splitlines()[0]
         assert "text/plain; version=0.0.4; charset=utf-8" in head
         parse_prometheus(body)   # must be well-formed exposition
+
+
+class TestServingLatencyExport:
+    def test_latency_histogram_scraped_after_traffic(self, monkeypatch):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        reset_tracer()
+        _, text, _ = asyncio.run(scrape_scenario(deploy=False))
+        metrics = by_name(parse_prometheus(text))
+        assert "# TYPE repro_serving_latency_seconds histogram" in text
+        for worker in ("w0", "w1"):
+            pairs = (("worker", worker),)
+            count = metrics["repro_serving_latency_seconds_count"][pairs]
+            assert count > 0
+            assert metrics["repro_serving_latency_seconds_sum"][pairs] > 0
+            buckets = sorted(
+                ((dict(labels)["le"], value) for labels, value in
+                 metrics["repro_serving_latency_seconds_bucket"].items()
+                 if dict(labels)["worker"] == worker),
+                key=lambda bucket: float(bucket[0]),
+            )
+            counts = [value for _, value in buckets]
+            assert counts == sorted(counts)
+            assert buckets[-1] == ("+Inf", count)

@@ -143,3 +143,17 @@ class TestFlushOnSignal:
         assert snapshot["repro_child_total"]["samples"]["[]"] == 3
         sink = (obs_dir / "trace.jsonl").read_text().splitlines()
         assert any(json.loads(line)["name"] == "child.work" for line in sink)
+
+
+class TestTailCount:
+    def test_tail_zero_prints_nothing(self, recorded_dir, capsys):
+        assert obs_main(["tail", "--dir", str(recorded_dir), "-n", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_tail_negative_rejected(self, recorded_dir, capsys):
+        assert obs_main(["tail", "--dir", str(recorded_dir), "-n", "-1"]) == 2
+        assert "error: -n must be >= 0" in capsys.readouterr().err
+
+    def test_tail_more_than_recorded_prints_all(self, recorded_dir, capsys):
+        assert obs_main(["tail", "--dir", str(recorded_dir), "-n", "50"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3

@@ -329,3 +329,16 @@ class TestRunnerShardFlags:
         )
         assert runner.run_experiment("fig6", seed=1, quick=True, shards=4) == "ok"
         assert "shards" not in captured
+
+
+class TestControlSplitWeights:
+    @pytest.mark.parametrize("weights", ["w0=x", "w0", "=3", "w0=0", "w0=4,,w1=-1", ","])
+    def test_malformed_weights_exit_2(self, weights, capsys):
+        assert main(["control", "split", "--port", "1", "--weights", weights]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --weights")
+        assert "Traceback" not in err
+
+    def test_priorities_share_the_weight_parser(self, capsys):
+        assert main(["serve", "--pipelines", "bd", "--priorities", "bd=x"]) == 2
+        assert "--priorities wants 'route=weight,...'" in capsys.readouterr().err

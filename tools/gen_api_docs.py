@@ -26,7 +26,7 @@ import sys
 #: Packages whose public surface the reference documents.
 PACKAGES = ("repro.core", "repro.ml", "repro.bayesopt", "repro.distrib",
             "repro.serving", "repro.control", "repro.obs", "repro.drift",
-            "repro.fabric")
+            "repro.fabric", "repro.scenario")
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "docs", "reference")
