@@ -27,6 +27,8 @@ import time
 
 import pytest
 
+from repro.fsio import jsonable
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
@@ -41,21 +43,6 @@ def host_info() -> dict:
     }
 
 
-def _jsonable(value):
-    """Coerce bench payloads (numpy scalars/arrays, tuples) to JSON types."""
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if hasattr(value, "tolist"):  # numpy array
-        return _jsonable(value.tolist())
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)
-
-
 def write_json_result(name: str, config: "dict | None" = None,
                       metrics: "dict | None" = None,
                       results_dir: str = RESULTS_DIR) -> str:
@@ -63,8 +50,8 @@ def write_json_result(name: str, config: "dict | None" = None,
     os.makedirs(results_dir, exist_ok=True)
     doc = {
         "name": name,
-        "config": _jsonable(config or {}),
-        "metrics": _jsonable(metrics or {}),
+        "config": jsonable(config or {}, default=str),
+        "metrics": jsonable(metrics or {}, default=str),
         "host": host_info(),
     }
     path = os.path.join(results_dir, f"{name}.json")

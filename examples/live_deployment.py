@@ -59,21 +59,9 @@ bundle = export_report(report, bundle_dir)
 print(f"\ndeployment bundle written to {bundle}")
 
 # --- 3. run it against a live stream --------------------------------------- #
-# Rebuild the winning pipeline (deterministic) and stream fresh traffic
+# Serve the winning pipeline the compile built and stream fresh traffic
 # through it, interleaved by timestamp like a real capture.
-from repro.core.evaluator import ModelEvaluator
-from repro.backends.taurus import TaurusBackend
-from repro.rng import derive
-
-evaluator = ModelEvaluator(
-    spec,
-    bd_loader.load("botnet_detector"),
-    best.algorithm,
-    TaurusBackend(),
-    report.constraints,
-    seed=int(derive(SEED, 0).integers(0, 2**31)),
-)
-_, pipeline, _ = evaluator.rebuild(best.best_config)
+pipeline = best.pipeline
 
 N_FLOWS = 200
 packets, labels = botnet_trace(N_FLOWS, seed=SEED + TRACE_SEED_OFFSET)
@@ -120,6 +108,9 @@ print(
 # compare-and-swap it into the live engine between micro-batches.
 import asyncio
 
+from repro.backends.taurus import TaurusBackend
+from repro.core.evaluator import ModelEvaluator
+from repro.rng import derive
 from repro.serving import replay
 
 v2_evaluator = ModelEvaluator(

@@ -14,8 +14,6 @@ the chaining strategy.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.alchemy.model import Model
 from repro.errors import SpecificationError
 
@@ -131,8 +129,13 @@ class ScheduleNode:
             parts.append(text)
         return sep.join(parts)
 
-    def to_dag(self) -> nx.DiGraph:
-        """Flatten into a model-level DAG (edges = data dependencies)."""
+    def to_dag(self):
+        """Flatten into a model-level DAG (edges = data dependencies).
+
+        Returns a :class:`networkx.DiGraph`.
+        """
+        import networkx as nx  # only DAG consumers pay its import time
+
         graph = nx.DiGraph()
         counter = [0]
 

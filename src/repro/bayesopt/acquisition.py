@@ -9,13 +9,16 @@ probability of feasibility, the standard treatment for unknown constraints
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 
 def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.0
 ) -> np.ndarray:
     """EI for maximization: ``E[max(f - best - xi, 0)]`` under N(mean, std²)."""
+    # Imported here: scipy.stats costs about a second to import, and
+    # only the search, not every importer of repro, needs it.
+    from scipy.stats import norm
+
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     improvement = mean - best - xi

@@ -20,11 +20,9 @@ import json
 import os
 import threading
 
-import numpy as np
-
 from repro.bayesopt.results import Evaluation
 from repro.errors import DesignSpaceError
-from repro.fsio import atomic_write_json
+from repro.fsio import atomic_write_json, jsonable
 
 #: File format tag and version, checked on load (persistence convention).
 FORMAT = "homunculus-evaluation-cache"
@@ -39,21 +37,6 @@ def config_key(config: dict) -> str:
     regardless of insertion order.
     """
     return "|".join(f"{k}={config[k]!r}" for k in sorted(config))
-
-
-def _jsonable(value):
-    """Coerce numpy scalars to plain Python for JSON serialization."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 class EvaluationCache:
@@ -155,10 +138,10 @@ class EvaluationCache:
         with self._lock:
             entries = [
                 {
-                    "config": _jsonable(e.config),
+                    "config": jsonable(e.config),
                     "objective": e.objective,
                     "feasible": e.feasible,
-                    "metrics": _jsonable(e.metrics),
+                    "metrics": jsonable(e.metrics),
                 }
                 for e in self._entries.values()
             ]

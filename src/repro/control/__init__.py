@@ -29,7 +29,6 @@ from repro.control.controller import (
     FleetWorker,
     start_workers,
     stop_workers,
-    workers_from_router,
 )
 from repro.control.server import ControlServer, serve_fleet
 from repro.control.telemetry import (
@@ -54,5 +53,4 @@ __all__ = [
     "stop_workers",
     "window_metrics",
     "window_percentile",
-    "workers_from_router",
 ]

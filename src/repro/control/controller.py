@@ -1,10 +1,8 @@
 """The fleet controller: rolling deploys with telemetry-gated rollback.
 
 :class:`FleetController` supervises N named serving workers — each a
-live :class:`~repro.serving.engine.AsyncStreamEngine` (standalone or a
-:class:`~repro.serving.router.PipelineRouter` route via
-:func:`workers_from_router`) — and turns the engines' per-worker
-primitives into fleet-wide operations:
+live :class:`~repro.serving.engine.AsyncStreamEngine` — and turns the
+engines' per-worker primitives into fleet-wide operations:
 
 * **deploy** — a rolling upgrade, one worker at a time, each gated on
   its own telemetry: snapshot the worker's counters and latency ring
@@ -17,8 +15,8 @@ primitives into fleet-wide operations:
   workers already upgraded and judged healthy keep the new one,
 * **rollback** — instant fleet-wide revert to each engine's retained
   previous pipeline (:meth:`AsyncStreamEngine.rollback_pipeline`),
-* **traffic_split** — live per-worker weight changes (the router's DRR
-  extraction-quantum knob),
+* **traffic_split** — live per-worker weight changes (each engine's
+  DRR extraction quantum),
 * **fleet** — one JSON-friendly snapshot of every worker's counters,
   summary scalars, and ring-buffer time series.
 
@@ -63,7 +61,7 @@ class FleetWorker:
     """
 
     def __init__(self, name: str, engine, version: str = "v0",
-                 weight: int = 1, route=None) -> None:
+                 weight: int = 1) -> None:
         if not name:
             raise ControlError("worker needs a non-empty name")
         self.name = str(name)
@@ -71,7 +69,6 @@ class FleetWorker:
         self.version = str(version)
         self.previous_version: "str | None" = None
         self.weight = int(weight)
-        self.route = route
         self.task: "asyncio.Task | None" = None
 
     def attach(self, task: asyncio.Task) -> None:
@@ -135,25 +132,6 @@ async def stop_workers(workers: list, stop: asyncio.Event) -> list:
             if isinstance(result, Exception)]
 
 
-def workers_from_router(router, versions: "dict | None" = None) -> list:
-    """Wrap a :class:`PipelineRouter`'s routes as fleet workers.
-
-    Each route becomes a :class:`FleetWorker` named after the route,
-    sharing the route's engine and weight, so the whole router can be
-    put under one controller::
-
-        controller = FleetController(workers_from_router(router),
-                                     router=router)
-    """
-    versions = versions or {}
-    return [
-        FleetWorker(route.name, route.engine,
-                    version=versions.get(route.name, "v0"),
-                    weight=route.weight, route=route)
-        for route in router.routes
-    ]
-
-
 class FleetController:
     """Supervise a fleet of serving workers; deploy, gate, roll back.
 
@@ -165,8 +143,7 @@ class FleetController:
         report["ok"], report["rolled_back"]
     """
 
-    def __init__(self, workers, gate: "RegressionGate | None" = None,
-                 router=None) -> None:
+    def __init__(self, workers, gate: "RegressionGate | None" = None) -> None:
         workers = list(workers)
         if not workers:
             raise ControlError("controller needs at least one worker")
@@ -175,7 +152,6 @@ class FleetController:
             raise ControlError(f"duplicate worker names: {names}")
         self.workers = {worker.name: worker for worker in workers}
         self.gate = gate if gate is not None else RegressionGate()
-        self.router = router
         self.pipelines: dict = {}
         self.events: list = []
         self._busy: "str | None" = None
@@ -398,9 +374,8 @@ class FleetController:
     def traffic_split(self, weights: dict) -> dict:
         """Adjust per-worker traffic weights live; returns the new map.
 
-        With a router attached this is :meth:`PipelineRouter.set_weights`
-        (the DRR extraction split); standalone workers get their engine's
-        ``extract_quantum`` retranslated directly.  Conflicts with an
+        Each named worker's engine gets its ``extract_quantum``
+        retranslated (the DRR extraction split).  Conflicts with an
         in-progress deploy (409).
         """
         unknown = sorted(set(weights) - set(self.workers))
@@ -414,18 +389,11 @@ class FleetController:
                 )
         self._acquire("traffic-split")
         try:
-            if self.router is not None:
-                new = self.router.set_weights(weights)
-                for name, weight in new.items():
-                    if name in self.workers:
-                        self.workers[name].weight = weight
-            else:
-                for name, weight in weights.items():
-                    worker = self.workers[name]
-                    worker.weight = int(weight)
-                    worker.engine.extract_quantum = worker.weight * ROUTE_QUANTUM
-                new = {name: worker.weight
-                       for name, worker in self.workers.items()}
+            for name, weight in weights.items():
+                worker = self.workers[name]
+                worker.weight = int(weight)
+                worker.engine.extract_quantum = worker.weight * ROUTE_QUANTUM
+            new = {name: worker.weight for name, worker in self.workers.items()}
             self._log("traffic-split", weights=new)
             return new
         finally:

@@ -216,8 +216,10 @@ def finalize_model_report(
     The rebuild is deterministic (training seeds derive from the config
     contents), so the driver of a distributed run can regenerate the
     winning pipeline locally from nothing but the winning configuration.
+    The report keeps that pipeline (:attr:`ModelReport.pipeline`): this
+    is the one place a compile trains its winner.
     """
-    _, pipeline, float_pred = evaluator.rebuild(best_eval.config)
+    _, pipeline, _ = evaluator.rebuild(best_eval.config)
     return ModelReport(
         name=model_spec.name,
         algorithm=algorithm,
@@ -233,6 +235,7 @@ def finalize_model_report(
         metadata=dict(pipeline.metadata),
         optimization=candidate_results[algorithm],
         candidate_results=candidate_results,
+        pipeline=pipeline,
     )
 
 

@@ -18,19 +18,7 @@ import os
 
 from repro.core.reports import CompileReport
 from repro.errors import HomunculusError
-
-
-def _jsonable(value):
-    """Best-effort conversion of report values into JSON-safe types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+from repro.fsio import jsonable
 
 
 def report_to_dict(report: CompileReport) -> dict:
@@ -42,14 +30,14 @@ def report_to_dict(report: CompileReport) -> dict:
             "metric": model_report.metric,
             "objective": model_report.objective,
             "float_objective": model_report.float_objective,
-            "best_config": _jsonable(model_report.best_config),
-            "resources": _jsonable(model_report.resources),
+            "best_config": model_report.best_config,
+            "resources": model_report.resources,
             "performance": {
                 "throughput_gpps": model_report.performance.throughput_gpps,
                 "latency_ns": model_report.performance.latency_ns,
             },
             "n_params": model_report.n_params,
-            "metadata": _jsonable(model_report.metadata),
+            "metadata": model_report.metadata,
             "source_files": sorted(model_report.sources),
             "iterations": (
                 len(model_report.optimization.history)
@@ -57,15 +45,15 @@ def report_to_dict(report: CompileReport) -> dict:
                 else 0
             ),
         }
-    return {
+    return jsonable({
         "target": report.target,
         "schedule": report.schedule,
         "feasible": report.feasible,
         "seed": report.seed,
-        "constraints": _jsonable(report.constraints),
-        "total_resources": _jsonable(report.total_resources),
+        "constraints": report.constraints,
+        "total_resources": report.total_resources,
         "models": models,
-    }
+    }, default=str)
 
 
 def export_report(report: CompileReport, directory: str) -> str:

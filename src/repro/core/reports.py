@@ -4,13 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backends.base import PerformanceEstimate
+from repro.backends.base import CompiledPipeline, PerformanceEstimate
 from repro.bayesopt.results import OptimizationResult
 
 
 @dataclass
 class ModelReport:
-    """Outcome of the search for one scheduled model."""
+    """Outcome of the search for one scheduled model.
+
+    ``pipeline`` is the winner's :class:`CompiledPipeline` as the final
+    selection step trained and lowered it — ready to serve, so callers
+    never retrain the winner.  It stays in memory only: exports and
+    comparisons ignore it.
+    """
 
     name: str
     algorithm: str
@@ -26,6 +32,9 @@ class ModelReport:
     metadata: dict = field(default_factory=dict)
     optimization: "OptimizationResult | None" = None
     candidate_results: dict = field(default_factory=dict)
+    pipeline: "CompiledPipeline | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     def summary_row(self) -> str:
         res = ", ".join(f"{k}={v}" for k, v in sorted(self.resources.items()))

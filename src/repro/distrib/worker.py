@@ -35,12 +35,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.alchemy.platforms import PlatformSpec
-from repro.bayesopt.cache import _jsonable
 from repro.bayesopt.results import Evaluation, OptimizationResult
 from repro.bayesopt.scalarization import pareto_front
 from repro.core.compiler import _search_one_family
 from repro.core.pareto import PRIMARY_RESOURCE
-from repro.fsio import atomic_write_json
+from repro.fsio import atomic_write_json, jsonable
 from repro.obs import flush_obs
 from repro.obs.registry import MetricsRegistry, enabled as obs_enabled
 from repro.obs.trace import NULL_TRACER, Tracer, get_tracer
@@ -138,10 +137,10 @@ class ClaimHeartbeat:
 def evaluation_to_dict(evaluation: Evaluation) -> dict:
     """JSON form of one evaluation (numpy scalars coerced)."""
     return {
-        "config": _jsonable(evaluation.config),
+        "config": jsonable(evaluation.config),
         "objective": float(evaluation.objective),
         "feasible": bool(evaluation.feasible),
-        "metrics": _jsonable(evaluation.metrics),
+        "metrics": jsonable(evaluation.metrics),
     }
 
 

@@ -16,10 +16,10 @@ three planes already exist; :class:`AdaptationLoop` is the conductor:
    (:func:`~repro.distrib.driver.run_sharded`, with ``max_retries`` —
    a worker crash mid-retrain costs a retry, not the rollout) on an
    executor thread so serving traffic never stops,
-3. **redeploy** — the winner is rebuilt into a servable pipeline
-   (deterministically, the merge layer's own rebuild rule), registered
-   with the :class:`~repro.control.controller.FleetController`, and
-   rolled out through the existing
+3. **redeploy** — the winner's pipeline, which the merge step built
+   once under the serial rebuild rule, is registered with the
+   :class:`~repro.control.controller.FleetController` and rolled out
+   through the existing
    :class:`~repro.control.telemetry.RegressionGate` — a retrain that
    serves worse than what it replaces is rolled back automatically, and
    the loop keeps the old reference so it can try again.
@@ -45,12 +45,11 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.evaluator import ModelEvaluator
 from repro.distrib.driver import run_sharded
 from repro.distrib.runspec import DatasetRef, RunSpec
-from repro.distrib.scheduler import unit_model_seed
 from repro.drift.capture import captured_dataset
 from repro.errors import AdaptationError, DistributionError, HomunculusError
+from repro.fsio import jsonable
 from repro.obs.registry import get_registry
 from repro.obs.trace import get_tracer
 
@@ -60,54 +59,22 @@ __all__ = ["AdaptationLoop", "rebuild_winner"]
 LOOP_STATES = ("warming", "monitoring", "retraining", "deploying", "cooldown")
 
 
-def _jsonable(value):
-    """Best-effort conversion of numpy-laced structures to JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
 def rebuild_winner(spec: RunSpec, report, model_index: int = 0):
-    """Deterministically rebuild the merged winner as a servable pipeline.
+    """The merged winner of ``spec.models[model_index]`` as a servable pipeline.
 
-    The same rebuild rule the merge layer applies: materialize the
-    entry's dataset, re-derive the unit model seed, and let
-    :class:`ModelEvaluator` retrain the winning config — so the deployed
-    pipeline is bit-identical to what the distributed report scored.
-    Returns ``(pipeline, best)``.
+    ``report`` is the :func:`run_sharded` output (or its
+    :class:`~repro.core.reports.CompileReport`).  The merge step already
+    trained and lowered the winner under the serial rebuild rule, so the
+    deployed pipeline is the one the distributed report scored — nothing
+    is retrained here.  Returns ``(pipeline, best)``.
     """
     compile_report = getattr(report, "report", report)
-    best = compile_report.best
-    if best is None or not compile_report.feasible:
+    best = compile_report.models.get(spec.models[model_index].name)
+    if best is None or best.pipeline is None or not compile_report.feasible:
         raise AdaptationError(
             "retrain produced no feasible pipeline to deploy"
         )
-    entry = spec.models[model_index]
-    dataset = entry.dataset.materialize()
-    platform = spec.build_platform(datasets={model_index: dataset})
-    backend = platform.backend()
-    constraints = platform.constraints()
-    evaluator = ModelEvaluator(
-        entry.to_model(dataset),
-        dataset,
-        best.algorithm,
-        backend,
-        constraints,
-        seed=unit_model_seed(spec, model_index),
-        train_epochs=spec.train_epochs,
-    )
-    _, pipeline, _ = evaluator.rebuild(best.best_config)
-    return pipeline, best
+    return best.pipeline, best
 
 
 class AdaptationLoop:
@@ -287,7 +254,7 @@ class AdaptationLoop:
         tracer = get_tracer()
         event = {
             "version": version,
-            "trigger": _jsonable((verdict or {}).get("reasons", [])),
+            "trigger": jsonable((verdict or {}).get("reasons", [])),
             "t_start": time.monotonic(),
         }
         if self.capture_dir is None:
@@ -317,15 +284,13 @@ class AdaptationLoop:
                                            f"{version}-shards"),
                     max_retries=self.max_retries,
                 ))
-                pipeline, best = await loop.run_in_executor(
-                    None, partial(rebuild_winner, spec, out)
-                )
+                pipeline, best = rebuild_winner(spec, out)
             event["retrain"] = {
                 "rows": int(dataset.n_train + dataset.n_test),
                 "budget": spec.budget,
                 "algorithm": best.algorithm,
-                "best_config": _jsonable(best.best_config),
-                "fault_tolerance": _jsonable(
+                "best_config": jsonable(best.best_config),
+                "fault_tolerance": jsonable(
                     getattr(out, "stats", {}).get("fault_tolerance", {})
                 ),
             }
@@ -375,7 +340,7 @@ class AdaptationLoop:
     # -- introspection ---------------------------------------------------
     def state(self) -> dict:
         """JSON document served at ``GET /adaptation``."""
-        return _jsonable({
+        return jsonable({
             "state": self.state_name,
             "deployed": self.deployed,
             "rolled_back": self.rolled_back,
@@ -392,4 +357,4 @@ class AdaptationLoop:
                 "version_prefix": self.version_prefix,
                 "max_adaptations": self.max_adaptations,
             },
-        })
+        }, default=str)

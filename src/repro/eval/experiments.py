@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import repro
 from repro.alchemy import DataLoader, Model, Platforms
-from repro.backends.fpga import FpgaBackend
-from repro.backends.fpga.resources import loopback_utilisation
-from repro.backends.fpga.power import SHELL_POWER_W
+from repro.backends.fpga.power import SHELL_POWER_W, estimate_power_watts
+from repro.backends.fpga.resources import (
+    estimate_fpga_utilisation,
+    loopback_utilisation,
+)
 from repro.backends.taurus import TaurusBackend, TaurusGrid
 from repro.core.fusion import fuse_datasets
 from repro.datasets import load_botnet
@@ -95,7 +97,7 @@ def _table2_sharded_reports(apps, budget: int, seed: int, quick: bool,
         name = APP_SPECS[app].model
         report = merged.report.models[name]
         # Re-wrap as the single-model CompileReport the serial loop hands
-        # back, so downstream consumers (table 5 rebuilds) are unchanged.
+        # back, so downstream consumers see one report shape.
         reports[app] = CompileReport(
             target="taurus",
             constraints=merged.report.constraints,
@@ -144,8 +146,6 @@ def run_table2(budget: int = 15, seed: int = 0, quick: bool = True, apps=APPS,
                 "cus": pipe.resources["cus"],
                 "mus": pipe.resources["mus"],
                 "topology": net.topology,
-                "model": net,
-                "scaler": scaler,
             }
         )
 
@@ -285,14 +285,14 @@ def format_table4(rows: list) -> str:
 # --------------------------------------------------------------------------- #
 def run_table5(table2_rows: "list | None" = None, budget: int = 15,
                seed: int = 0, quick: bool = True) -> list:
-    """Compile Table 2's six models for the FPGA testbed.
+    """FPGA testbed figures for Table 2's six models.
 
     Reports LUT/FF/BRAM utilisation (%) and board power (W), plus the
-    loopback-shell row.
+    loopback-shell row.  Both are functions of a model's layer topology
+    alone, which every Table-2 row records, so nothing is retrained.
     """
     if table2_rows is None:
         table2_rows = run_table2(budget=budget, seed=seed, quick=quick)
-    fpga = FpgaBackend()
     shell = loopback_utilisation()
     rows = [
         {
@@ -306,44 +306,19 @@ def run_table5(table2_rows: "list | None" = None, budget: int = 15,
     ]
     names = {"baseline": "Base", "homunculus": "Hom"}
     for row in table2_rows:
-        if "model" in row:  # baseline rows carry the trained model
-            pipe = fpga.compile_model(row["model"], scaler=row["scaler"],
-                                      name=f"fpga_{row['app']}")
-            topology = row["topology"]
-        else:  # homunculus rows carry the compile report
-            best = row["report"].best
-            # Rebuild the winning model via the report's recorded config.
-            from repro.core.evaluator import ModelEvaluator  # local import: avoids cycle
-
-            evaluator = ModelEvaluator(
-                _make_model(row["app"], _load_app(row["app"], quick, seed)),
-                _load_app(row["app"], quick, seed),
-                best.algorithm,
-                fpga,
-                {"performance": {}, "resources": {}},
-                seed=report_seed(row),
-            )
-            model, pipe, _ = evaluator.rebuild(best.best_config)
-            topology = best.metadata.get("topology")
+        utilisation = estimate_fpga_utilisation(row["topology"])
         rows.append(
             {
                 "application": f"{names[row['variant']]}-{row['app'].upper()}",
                 "model": "DNN",
-                "lut_pct": pipe.resources["lut_pct"],
-                "ff_pct": pipe.resources["ff_pct"],
-                "bram_pct": pipe.resources["bram_pct"],
-                "power_w": pipe.metadata["power_watts"],
-                "topology": topology,
+                "lut_pct": utilisation["lut_pct"],
+                "ff_pct": utilisation["ff_pct"],
+                "bram_pct": utilisation["bram_pct"],
+                "power_w": estimate_power_watts(utilisation),
+                "topology": row["topology"],
             }
         )
     return rows
-
-
-def report_seed(row: dict) -> int:
-    """The per-model seed generate() used (re-derived for rebuilds)."""
-    from repro.rng import derive
-
-    return int(derive(row["report"].seed, 0).integers(0, 2**31))
 
 
 def format_table5(rows: list) -> str:

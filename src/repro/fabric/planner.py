@@ -29,8 +29,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.distrib.driver import run_sharded
 from repro.distrib.launchers import make_launcher
 from repro.distrib.runspec import DatasetRef, ModelEntry, RunSpec
@@ -44,6 +42,7 @@ from repro.fabric.placement import (
 )
 from repro.fabric.topology import TIER_ORDER, Topology, _load_doc
 from repro.fabric.traffic import TrafficMatrix
+from repro.fsio import jsonable
 from repro.obs import get_registry, get_tracer
 from repro.rng import derive
 from repro.wire import Fields
@@ -215,19 +214,6 @@ def load_fabric_spec(path: str) -> FabricSpec:
     return FabricSpec.from_dict(_load_doc(path))
 
 
-def _jsonable(value):
-    """Recursively coerce numpy scalars so plan JSON is pure stdlib."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer, np.bool_)):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 @dataclass
 class FabricPlan:
     """A topology-wide deployment plan: what runs where, within budget.
@@ -263,7 +249,7 @@ class FabricPlan:
 
     def to_dict(self) -> dict:
         """The full plan document (numpy scalars coerced to stdlib)."""
-        return _jsonable({
+        return jsonable({
             "version": 1,
             "seed": self.seed,
             "spec": self.spec,

@@ -88,8 +88,8 @@ def tier_route_weights(traffic: TrafficMatrix, topology: Topology) -> dict:
 
     Each switch tier is weighted by the offered load on the boundary
     directly below it (the traffic its devices must classify), scaled
-    so the lightest loaded tier gets weight 1 — the integer shape
-    :meth:`~repro.serving.router.PipelineRouter.set_weights` takes.
+    so the lightest loaded tier gets weight 1 — the integer each
+    route's :attr:`~repro.serving.router.Route.weight` takes.
     Tiers with no offered load get weight 1.
     """
     rollup = traffic.oversubscription(topology)

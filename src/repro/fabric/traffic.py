@@ -150,9 +150,8 @@ class TrafficMatrix:
         """Integer router weights proportional to each app's demand.
 
         The lightest app gets weight 1 and the others scale up from it
-        (rounded, floor 1) — the shape
-        :meth:`~repro.serving.router.PipelineRouter.set_weights`
-        accepts.
+        (rounded, floor 1) — the integer each route's
+        :attr:`~repro.serving.router.Route.weight` takes.
         """
         shares = self.app_shares()
         floor = min(shares.values())

@@ -1,12 +1,15 @@
-"""Filesystem helpers shared across subsystems.
+"""Filesystem and JSON helpers shared across subsystems.
 
-One audited implementation of the atomic-JSON-write pattern the
-evaluation cache, the work-queue protocol, and the shard worker all
-rely on: serialize to a uniquely named temporary file in the target
-directory, then move it into place with :func:`os.replace`.  Readers
-can never observe a partial document, and the last writer wins —
-exactly the semantics `EvaluationCache.load` documents for spill
-merging.
+:func:`jsonable` is the one conversion of numpy-laced structures into
+plain JSON types that every document writer uses.
+
+:func:`atomic_write_json` is one audited implementation of the
+atomic-JSON-write pattern the evaluation cache, the work-queue
+protocol, and the shard worker all rely on: serialize to a uniquely
+named temporary file in the target directory, then move it into place
+with :func:`os.replace`.  Readers can never observe a partial document,
+and the last writer wins — exactly the semantics
+`EvaluationCache.load` documents for spill merging.
 """
 
 from __future__ import annotations
@@ -20,6 +23,25 @@ import time
 #: The temporary-file suffix :func:`atomic_write_json` appends:
 #: ``<anything>.tmp.<pid>.<thread-id>``.
 _TMP_PATTERN = re.compile(r"\.tmp\.\d+\.\d+$")
+
+
+def jsonable(value, default=None):
+    """``value`` as plain JSON types, for every JSON document we write.
+
+    Dict keys become strings, tuples become lists, and numpy scalars
+    and arrays become their Python equivalents (``tolist``).  Any other
+    non-JSON value goes through ``default`` (as in :func:`json.dump`);
+    with no ``default`` it is left for the serializer to reject.
+    """
+    if isinstance(value, dict):
+        return {str(k): jsonable(v, default) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v, default) for v in value]
+    if hasattr(value, "tolist"):
+        return jsonable(value.tolist(), default)
+    if default is None or isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return default(value)
 
 
 def atomic_write_json(path: str, doc, indent: int = 1) -> str:

@@ -18,8 +18,8 @@ from __future__ import annotations
 __all__ = ["serving_samples", "fleet_samples"]
 
 _COUNTER_HELP = {
-    "packets": "packets ingested by the engine",
-    "enqueued": "packets accepted into a lane queue",
+    "packets": "packets classified and recorded by the engine",
+    "enqueued": "packets arrived at the ingress queue, dropped ones included",
     "dropped": "packets dropped across all causes",
     "batches": "inference batches executed",
     "batch_rows": "rows across all inference batches",

@@ -2,7 +2,7 @@
 
 Serving behaviour (deadline flushes, latency percentiles, pacing) is all
 about *time*, which makes it miserable to test against the wall clock.
-Every serving component therefore reads time through a :class:`Clock`:
+Trace replay therefore reads time through a clock object:
 
 * :class:`WallClock` — ``time.monotonic`` plus real ``asyncio.sleep``,
   for live deployments and wall-clock benchmarks,

@@ -59,7 +59,7 @@ from repro.obs.trace import NULL_TRACER, get_tracer
 from repro.runtime.stream import extract_rows
 from repro.serving.batching import MicroBatcher, RowBlock
 from repro.serving.channel import SENTINEL, BoundedChannel, PriorityChannel
-from repro.serving.clock import YIELD_EVERY, VirtualClock, WallClock, replay
+from repro.serving.clock import YIELD_EVERY, WallClock, replay
 from repro.serving.stats import ServingStats
 
 #: Supported ingress backpressure policies (queue disciplines).
@@ -107,10 +107,10 @@ class AsyncStreamEngine:
         micro-batch flush bounds (``max_latency`` in seconds, ``None``
         disables the deadline — pure size batching, sync-identical
         boundaries).  Deadlines are measured on the host's event-loop
-        clock regardless of ``clock``: they bound real host queueing
-        delay, so batch boundaries under a deadline are wall-time
-        behaviour, not replay-time (predictions per row are unaffected;
-        for bit-exact repeated runs use ``max_latency=None``).
+        clock: they bound real host queueing delay, so batch boundaries
+        under a deadline are wall-time behaviour, not replay-time
+        (predictions per row are unaffected; for bit-exact repeated runs
+        use ``max_latency=None``).
     queue_depth:
         capacity of every stage queue (the switch FIFO depth; per lane,
         when ``priorities`` is set).
@@ -131,8 +131,6 @@ class AsyncStreamEngine:
         packets the extract stage may process per event-loop wakeup
         (0 = drain greedily).  The :class:`PipelineRouter` uses this to
         split extraction CPU between routes by weight.
-    clock:
-        time source for latency stamps and pacing (default wall clock).
     capture:
         optional :class:`~repro.drift.capture.TrafficCapture`-like sink
         (``observe_batch(rows, labels, predictions, times)``; ``rows``
@@ -155,8 +153,6 @@ class AsyncStreamEngine:
         priorities: "tuple | list | None" = None,
         lane_of=None,
         extract_quantum: int = 0,
-        clock: "WallClock | VirtualClock | None" = None,
-        stats: "ServingStats | None" = None,
         capture=None,
     ) -> None:
         if not hasattr(pipeline, "predict"):
@@ -177,7 +173,7 @@ class AsyncStreamEngine:
             raise HomunculusError("lane_of needs priorities (lane weights)")
         self.pipeline = pipeline
         self.extractor = extractor
-        self.stats = stats if stats is not None else ServingStats()
+        self.stats = ServingStats()
         # The flush callback is the stats' method, not the engine's: a
         # bound engine method would make engine -> batcher -> engine a
         # reference cycle, and a finished engine (with its extractor's
@@ -199,7 +195,7 @@ class AsyncStreamEngine:
         if capture is not None and not hasattr(capture, "observe_batch"):
             raise HomunculusError("capture must expose observe_batch()")
         self.capture = capture
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = WallClock()
         self.pipeline_generation = 0
         #: The pipeline the last :meth:`swap_pipeline` replaced — retained
         #: so a controller can :meth:`rollback_pipeline` instantly.

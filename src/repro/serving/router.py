@@ -123,30 +123,6 @@ class PipelineRouter:
         """Per-route :class:`ServingStats`, keyed by route name."""
         return {route.name: route.engine.stats for route in self.routes}
 
-    def set_weights(self, weights: dict) -> dict:
-        """Adjust route weights live; returns the full new weight map.
-
-        ``weights`` maps route names to new weights (>= 1).  Each named
-        route's extraction quantum is retranslated immediately, so the
-        DRR split shifts from the next event-loop round — the control
-        plane's traffic-split knob.  Unnamed routes keep their weights.
-        """
-        known = {route.name: route for route in self.routes}
-        unknown = sorted(set(weights) - set(known))
-        if unknown:
-            raise HomunculusError(f"set_weights: unknown routes {unknown}")
-        for name, weight in weights.items():
-            if int(weight) < 1:
-                raise HomunculusError(
-                    f"set_weights: weight for {name!r} must be >= 1, "
-                    f"got {weight}"
-                )
-        for name, weight in weights.items():
-            route = known[name]
-            route.weight = int(weight)
-            route.engine.extract_quantum = route.weight * ROUTE_QUANTUM
-        return {route.name: route.weight for route in self.routes}
-
     async def rolling_swap(self, pipelines: dict) -> dict:
         """Hitlessly upgrade routes one at a time; returns old pipelines.
 
