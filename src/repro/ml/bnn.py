@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.ml.optimizers import Optimizer, get_optimizer
+from repro.ml.optimizers import Optimizer, flatten, get_optimizer
 from repro.rng import as_generator
 
 #: Binary multiply-accumulates packed per CU MAC lane (XNOR + popcount).
@@ -95,11 +95,12 @@ class BinaryDense:
             grad_z = grad_out
         grad_pre = grad_z * self.pre_scale
         # STE for binary weights: apply dL/dWb to the latent weights.
-        self._grad_w = self._x.T @ grad_pre
-        self._grad_b = grad_pre.sum(axis=0)
+        np.matmul(self._x.T, grad_pre, out=self._grad_w)
+        np.sum(grad_pre, axis=0, out=self._grad_b)
         return grad_pre @ self.binary_weights.T
 
     def apply_update(self, optimizer: Optimizer, key: str) -> None:
+        """Step this layer alone (``fit`` steps the whole network at once)."""
         optimizer.update(f"{key}.w", self.latent_weights, self._grad_w)
         optimizer.update(f"{key}.b", self.bias, self._grad_b)
         np.clip(self.latent_weights, -1.0, 1.0, out=self.latent_weights)
@@ -191,6 +192,10 @@ class BinarizedNetwork:
         # Map {0,1} targets onto the ±1 logit scale.
         targets = np.where(y > 0, 1.0, -1.0)
         opt = get_optimizer(optimizer, learning_rate)
+        params, grads = flatten(
+            [(layer, attr, grad) for layer in self.layers
+             for attr, grad in (("latent_weights", "_grad_w"), ("bias", "_grad_b"))]
+        )
         losses = []
         n = X.shape[0]
         for _ in range(int(epochs)):
@@ -206,8 +211,9 @@ class BinarizedNetwork:
                 grad = 2.0 * (logits - tb) / tb.size
                 for layer in reversed(self.layers):
                     grad = layer.backward(grad)
-                for li, layer in enumerate(self.layers):
-                    layer.apply_update(opt, str(li))
+                opt.update("params", params, grads)
+                for layer in self.layers:
+                    np.clip(layer.latent_weights, -1.0, 1.0, out=layer.latent_weights)
             losses.append(epoch_loss / max(batches, 1))
         return losses
 

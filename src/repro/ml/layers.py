@@ -1,8 +1,9 @@
 """Network layers: Dense (fully connected) and Dropout.
 
 Layers cache whatever the backward pass needs during forward; ``backward``
-returns the gradient with respect to the layer input and stores parameter
-gradients for the optimizer step.
+returns the gradient with respect to the layer input and writes parameter
+gradients into the layer's gradient arrays, in place, for the optimizer
+step (during ``fit`` those arrays are views into one gradient vector).
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class Dense(Layer):
         if self._x is None or self._out is None:
             raise TrainingError("backward() called before a training forward()")
         grad_pre = grad_out * self.activation.backward(self._out)
-        self._grad_w = self._x.T @ grad_pre
-        self._grad_b = grad_pre.sum(axis=0)
+        np.matmul(self._x.T, grad_pre, out=self._grad_w)
+        np.sum(grad_pre, axis=0, out=self._grad_b)
         return grad_pre @ self.weights.T
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.ml.layers import Dense, Dropout, Layer
 from repro.ml.losses import Loss, get_loss
-from repro.ml.optimizers import Optimizer, get_optimizer
+from repro.ml.optimizers import Optimizer, flatten, get_optimizer
 from repro.rng import as_generator
 
 
@@ -132,7 +132,10 @@ class NeuralNetwork:
         """Mini-batch gradient-descent training loop.
 
         ``patience`` enables early stopping on validation loss (or training
-        loss when no validation data is given).
+        loss when no validation data is given).  Each mini-batch is one
+        optimizer step over every weight and bias at once: ``fit`` first
+        copies them into one vector (:func:`~repro.ml.optimizers.flatten`),
+        and the layers' arrays stay views into it afterwards.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -152,6 +155,10 @@ class NeuralNetwork:
                 f"targets have dim {y.shape[1]} but network outputs {out_dim}"
             )
         opt = get_optimizer(optimizer, learning_rate)
+        params, grads = flatten(
+            [(layer, attr, grad) for layer in self.dense_layers
+             for attr, grad in (("weights", "_grad_w"), ("bias", "_grad_b"))]
+        )
         loss_fn = get_loss(loss if loss is not None else self._default_loss())
         self.history = TrainHistory()
         best = np.inf
@@ -170,11 +177,7 @@ class NeuralNetwork:
                 grad = loss_fn.gradient(yb, pred)
                 for layer in reversed(self.layers):
                     grad = layer.backward(grad)
-                for li, layer in enumerate(self.layers):
-                    params = layer.parameters()
-                    grads = layer.gradients()
-                    for key in params:
-                        opt.update(f"{li}.{key}", params[key], grads[key])
+                opt.update("params", params, grads)
             epoch_loss /= max(batches, 1)
             self.history.loss.append(epoch_loss)
             monitored = epoch_loss

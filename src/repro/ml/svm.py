@@ -56,9 +56,10 @@ class LinearSVM:
         step = 0
         for _ in range(self.epochs):
             order = self._rng.permutation(n)
+            X_epoch, y_epoch = X[order], y_signed[order]
             for start in range(0, n, self.batch_size):
-                idx = order[start : start + self.batch_size]
-                xb, yb = X[idx], y_signed[idx]
+                xb = X_epoch[start : start + self.batch_size]
+                yb = y_epoch[start : start + self.batch_size]
                 step += 1
                 lr = self.learning_rate / math.sqrt(step)
                 margins = yb * (xb @ w + b)
@@ -67,7 +68,7 @@ class LinearSVM:
                 grad_b = 0.0
                 k = np.count_nonzero(active)
                 if k:
-                    if k < idx.size:
+                    if k < yb.size:
                         xb, yb = xb[active], yb[active]
                     # add.reduce / k is the reduction .mean() runs.
                     grad_w = grad_w - np.add.reduce(yb[:, None] * xb, axis=0) / k
