@@ -32,10 +32,16 @@ from repro.backends.taurus.resources import (
 from repro.errors import BackendError
 
 
+def _clip(values: np.ndarray, lo, hi) -> np.ndarray:
+    """``np.clip`` without its per-call wrapper and bound checks."""
+    out = np.maximum(values, lo)
+    return np.minimum(out, hi, out=out)
+
+
 def _saturate(codes: np.ndarray, fmt) -> np.ndarray:
     lo = -(2 ** (fmt.integer_bits + fmt.fraction_bits))
     hi = 2 ** (fmt.integer_bits + fmt.fraction_bits) - 1
-    return np.clip(codes, lo, hi)
+    return _clip(codes, lo, hi)
 
 
 class TaurusSimulator:
@@ -44,6 +50,22 @@ class TaurusSimulator:
     def __init__(self, program: MapReduceProgram, grid: TaurusGrid = TaurusGrid()) -> None:
         self.program = program
         self.grid = grid
+        # Float64 copies of the dense weights, for the stages whose
+        # every product and partial sum is an integer below 2**53 (so
+        # float64 holds it exactly, in any summation order, with or
+        # without FMA): input codes are saturated to 2**(m+n) in
+        # magnitude, so ``in_dim * 2**(m+n) * max|W| < 2**53`` bounds
+        # the accumulator.  ``None`` keeps a stage on the int64 matmul.
+        fmt = program.fmt
+        reach = 2 ** (fmt.integer_bits + fmt.fraction_bits)
+        self._float_weights = {}
+        for index, stage in enumerate(program.stages):
+            if isinstance(stage, DenseStage):
+                weights = stage.weight_codes.astype(np.int64)
+                peak = int(np.abs(weights).max(initial=0))
+                exact = stage.in_dim * reach * peak < 2**53
+                self._float_weights[index] = (
+                    weights.astype(np.float64) if exact else None)
 
     # ------------------------------------------------------------------ #
     # Functional simulation (integer arithmetic only)
@@ -55,20 +77,21 @@ class TaurusSimulator:
         # standardized value in the pipeline's Qm.n code domain.
         centered = codes - stage.mean_codes[None, :]
         product = centered * stage.mant_codes[None, :]
-        out = np.empty_like(product)
-        for j in range(product.shape[1]):
-            shift = int(stage.shift_codes[j])
-            if shift >= 0:
-                out[:, j] = product[:, j] >> shift
-            else:
-                out[:, j] = product[:, j] << (-shift)
+        shift = stage.shift_codes
+        out = np.where(shift >= 0, product >> np.maximum(shift, 0),
+                       product << np.maximum(-shift, 0))
         return _saturate(out, fmt)
 
-    def _run_dense(self, stage: DenseStage, codes: np.ndarray) -> np.ndarray:
+    def _run_dense(self, stage: DenseStage, codes: np.ndarray,
+                   float_weights: "np.ndarray | None") -> np.ndarray:
         fmt = self.program.fmt
         # Wide accumulate, then rescale once per dot product (hardware keeps
-        # the accumulator wide and shifts at write-back).
-        acc = codes.astype(np.int64) @ stage.weight_codes.astype(np.int64)
+        # the accumulator wide and shifts at write-back).  The float64
+        # matmul (BLAS) gives the same integers when the stage is exact.
+        if float_weights is not None:
+            acc = (codes.astype(np.float64) @ float_weights).astype(np.int64)
+        else:
+            acc = codes.astype(np.int64) @ stage.weight_codes.astype(np.int64)
         acc = (acc >> fmt.fraction_bits) + stage.bias_codes[None, :]
         if stage.activation == "relu":
             acc = np.maximum(acc, 0)
@@ -96,14 +119,14 @@ class TaurusSimulator:
         fmt = self.program.fmt
         if isinstance(self.program.stages[0], ScaleStage):
             scaled = np.round(X * 2**INPUT_FRACTION_BITS)
-            codes = np.clip(scaled, -(2**40), 2**40 - 1).astype(np.int64)
+            codes = _clip(scaled, -(2**40), 2**40 - 1).astype(np.int64)
         else:
             codes = _saturate(np.round(X / fmt.scale).astype(np.int64), fmt)
-        for stage in self.program.stages:
+        for index, stage in enumerate(self.program.stages):
             if isinstance(stage, ScaleStage):
                 codes = self._run_scale(stage, codes)
             elif isinstance(stage, DenseStage):
-                codes = self._run_dense(stage, codes)
+                codes = self._run_dense(stage, codes, self._float_weights[index])
             elif isinstance(stage, DecisionStage):
                 return self._run_decision(stage, codes)
             else:

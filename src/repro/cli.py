@@ -30,6 +30,7 @@ produces; the train-and-serve setup behind them is :mod:`repro.scenario`::
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import repro
@@ -242,14 +243,24 @@ def serve_main(argv: "list | None" = None) -> int:
     print(f"replaying {len(packets)} packets across {args.flows} flows ({pacing})")
 
     with flush_on_exit():
+        v2 = None
         if args.swap_after is not None:
             print(f"hitless upgrade armed: rolling swap after "
                   f"{args.swap_after} packets")
             v2 = {name: serving_pipeline(name, args.seed + 1)[0]
                   for name in names}
-            _replay_with_swap(router, packets, labels, v2, args)
-        else:
-            router.process(packets, labels, speed=args.speed)
+        # Set-up garbage (training, the trace) is collected now and the
+        # survivors frozen, so no full collection pauses the replay and
+        # lands its pause on every packet in flight.
+        gc.collect()
+        gc.freeze()
+        try:
+            if v2 is not None:
+                _replay_with_swap(router, packets, labels, v2, args)
+            else:
+                router.process(packets, labels, speed=args.speed)
+        finally:
+            gc.unfreeze()
     for name in names:
         summary = router.stats[name].summary()
         accuracy = (f"{summary['accuracy']:.3f}"

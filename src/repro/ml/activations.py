@@ -51,7 +51,7 @@ class Sigmoid(Activation):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # Clip to avoid overflow in exp for extreme pre-activations.
-        x = np.clip(x, -60.0, 60.0)
+        x = np.minimum(np.maximum(x, -60.0), 60.0)
         return 1.0 / (1.0 + np.exp(-x))
 
     def backward(self, out: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ class BinaryDense:
         grad_pre = grad_z * self.pre_scale
         # STE for binary weights: apply dL/dWb to the latent weights.
         np.matmul(self._x.T, grad_pre, out=self._grad_w)
-        np.sum(grad_pre, axis=0, out=self._grad_b)
+        np.add.reduce(grad_pre, axis=0, out=self._grad_b)
         return grad_pre @ self.binary_weights.T
 
     def apply_update(self, optimizer: Optimizer, key: str) -> None:
@@ -206,14 +206,16 @@ class BinarizedNetwork:
                 idx = order[start : start + int(batch_size)]
                 xb, tb = X[idx], targets[idx]
                 logits = self.forward(xb, training=True)
-                epoch_loss += float(np.mean((logits - tb) ** 2))
+                diff = logits - tb
+                epoch_loss += float(np.add.reduce(diff**2, axis=None) / diff.size)
                 batches += 1
-                grad = 2.0 * (logits - tb) / tb.size
+                grad = 2.0 * diff / tb.size
                 for layer in reversed(self.layers):
                     grad = layer.backward(grad)
                 opt.update("params", params, grads)
                 for layer in self.layers:
-                    np.clip(layer.latent_weights, -1.0, 1.0, out=layer.latent_weights)
+                    weights = layer.latent_weights
+                    np.minimum(np.maximum(weights, -1.0, out=weights), 1.0, out=weights)
             losses.append(epoch_loss / max(batches, 1))
         return losses
 

@@ -83,7 +83,7 @@ class Dense(Layer):
             raise TrainingError("backward() called before a training forward()")
         grad_pre = grad_out * self.activation.backward(self._out)
         np.matmul(self._x.T, grad_pre, out=self._grad_w)
-        np.sum(grad_pre, axis=0, out=self._grad_b)
+        np.add.reduce(grad_pre, axis=0, out=self._grad_b)
         return grad_pre @ self.weights.T
 
     def parameters(self) -> dict[str, np.ndarray]:

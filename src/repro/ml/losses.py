@@ -25,12 +25,21 @@ class Loss:
     def gradient(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_gradient(self, y_true: np.ndarray, y_pred: np.ndarray) -> tuple:
+        """``(value, gradient)`` of one training batch."""
+        return self.value(y_true, y_pred), self.gradient(y_true, y_pred)
+
+
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))`` without the ``fromnumeric`` wrapper."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
 
 class MeanSquaredError(Loss):
     name = "mse"
 
     def value(self, y_true, y_pred) -> float:
-        return float(np.mean((y_pred - y_true) ** 2))
+        return _mean((y_pred - y_true) ** 2)
 
     def gradient(self, y_true, y_pred) -> np.ndarray:
         return 2.0 * (y_pred - y_true) / y_true.size
@@ -41,15 +50,29 @@ class BinaryCrossEntropy(Loss):
 
     name = "bce"
 
-    def value(self, y_true, y_pred) -> float:
-        p = np.clip(y_pred, _EPS, 1.0 - _EPS)
-        return float(-np.mean(y_true * np.log(p) + (1.0 - y_true) * np.log(1.0 - p)))
+    @staticmethod
+    def _clip(y_pred) -> np.ndarray:
+        return np.minimum(np.maximum(y_pred, _EPS), 1.0 - _EPS)
 
-    def gradient(self, y_true, y_pred) -> np.ndarray:
+    @staticmethod
+    def _value(y_true, p) -> float:
+        return -_mean(y_true * np.log(p) + (1.0 - y_true) * np.log(1.0 - p))
+
+    @staticmethod
+    def _gradient(y_true, p) -> np.ndarray:
         # Fused with sigmoid: dL/dz = (p - y)/N. The Sigmoid.backward factor
         # is divided back out so layer chaining stays uniform.
-        p = np.clip(y_pred, _EPS, 1.0 - _EPS)
         return (p - y_true) / (p * (1.0 - p)) / y_true.size
+
+    def value(self, y_true, y_pred) -> float:
+        return self._value(y_true, self._clip(y_pred))
+
+    def gradient(self, y_true, y_pred) -> np.ndarray:
+        return self._gradient(y_true, self._clip(y_pred))
+
+    def value_and_gradient(self, y_true, y_pred) -> tuple:
+        p = self._clip(y_pred)  # once for both
+        return self._value(y_true, p), self._gradient(y_true, p)
 
 
 class CategoricalCrossEntropy(Loss):

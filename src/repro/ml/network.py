@@ -172,9 +172,9 @@ class NeuralNetwork:
                 idx = order[start : start + batch_size]
                 xb, yb = X[idx], y[idx]
                 pred = self.forward(xb, training=True)
-                epoch_loss += loss_fn.value(yb, pred)
+                value, grad = loss_fn.value_and_gradient(yb, pred)
+                epoch_loss += value
                 batches += 1
-                grad = loss_fn.gradient(yb, pred)
                 for layer in reversed(self.layers):
                     grad = layer.backward(grad)
                 opt.update("params", params, grads)

@@ -18,10 +18,18 @@ from repro.serving.batching import MicroBatcher, RowBlock
 from repro.serving.channel import (
     DISCIPLINES,
     BoundedChannel,
+    ChunkChannel,
     PriorityChannel,
     QueueDiscipline,
 )
-from repro.serving.clock import VirtualClock, WallClock, loop_replay, replay
+from repro.serving.clock import (
+    PacketChunk,
+    VirtualClock,
+    WallClock,
+    loop_replay,
+    replay,
+    replay_chunks,
+)
 from repro.serving.device import TimedPipeline
 from repro.serving.engine import DROP_POLICIES, AsyncStreamEngine
 from repro.serving.router import PipelineRouter, Route
@@ -30,9 +38,11 @@ from repro.serving.stats import LatencyHistogram, RingSeries, ServingStats
 __all__ = [
     "AsyncStreamEngine",
     "BoundedChannel",
+    "ChunkChannel",
     "DISCIPLINES",
     "DROP_POLICIES",
     "MicroBatcher",
+    "PacketChunk",
     "PipelineRouter",
     "PriorityChannel",
     "QueueDiscipline",
@@ -46,4 +56,5 @@ __all__ = [
     "WallClock",
     "loop_replay",
     "replay",
+    "replay_chunks",
 ]

@@ -8,6 +8,8 @@ switch-style alternatives:
 
 * :class:`BoundedChannel` — a bounded SPSC FIFO with a plain deque fast
   path and futures only for the empty/full edges,
+* :class:`ChunkChannel` — the lossless variant for packet chunks: one
+  queue operation per chunk, depth counted in packets,
 * :class:`QueueDiscipline` — the admission policy applied when a
   bounded queue is full (``block``, ``tail-drop``, ``head-drop``),
 * :class:`PriorityChannel` — N weighted lanes drained in
@@ -205,6 +207,99 @@ class BoundedChannel:
     async def aclose(self) -> None:
         """Signal end-of-stream: enqueue the :data:`SENTINEL` in order."""
         await self.put(SENTINEL)
+
+
+class ChunkChannel:
+    """Lossless bounded FIFO of packet chunks whose depth counts packets.
+
+    Every item is put with its ``size`` (the packets it carries), and
+    :meth:`qsize` is the packets queued, so ``depth`` means the same as
+    on a per-packet :class:`BoundedChannel`.  A chunk larger than the
+    free space waits; one larger than the whole depth is admitted once
+    the channel is empty, so no chunk can wedge its producer.  The
+    consumer takes everything queued in one :meth:`get_many` call.
+
+    Example — the lossless ingress of the engine::
+
+        ch = ChunkChannel(depth=1024)
+        await ch.put(entry, size=256)   # waits while 256 packets do not fit
+        entries, packets = await ch.get_many()
+        ch.qsize()                      # packets still queued
+
+    Single producer, single consumer, like :class:`BoundedChannel`.
+    """
+
+    __slots__ = ("_items", "_load", "_depth", "_getter", "_putter")
+
+    def __init__(self, depth: int) -> None:
+        if depth < 1:
+            raise ValueError(f"channel depth must be >= 1, got {depth}")
+        self._items: deque = deque()
+        self._load = 0
+        self._depth = int(depth)
+        self._getter: "asyncio.Future | None" = None
+        self._putter: "asyncio.Future | None" = None
+
+    def qsize(self) -> int:
+        return self._load
+
+    def put_nowait(self, item, size: int) -> None:
+        if self._load and self._load + size > self._depth:
+            raise asyncio.QueueFull
+        self._items.append((item, size))
+        self._load += size
+        getter = self._getter
+        if getter is not None:
+            self._getter = None
+            if not getter.done():
+                getter.set_result(None)
+
+    async def put(self, item, size: int) -> None:
+        while self._load and self._load + size > self._depth:
+            waiter = asyncio.get_running_loop().create_future()
+            self._putter = waiter
+            try:
+                await waiter
+            finally:
+                if self._putter is waiter:
+                    self._putter = None
+        self.put_nowait(item, size)
+
+    async def get_many(self, limit: int = 0) -> tuple:
+        """Wait for an item, then pop queued items in order.
+
+        Stops when the channel is empty or, with ``limit``, once the
+        popped items hold ``limit`` packets.  Returns ``(items,
+        packets)``.
+        """
+        while not self._items:
+            waiter = asyncio.get_running_loop().create_future()
+            self._getter = waiter
+            try:
+                await waiter
+            finally:
+                if self._getter is waiter:
+                    self._getter = None
+        items = []
+        packets = 0
+        queue = self._items
+        while queue:
+            item, size = queue.popleft()
+            items.append(item)
+            packets += size
+            if limit and packets >= limit:
+                break
+        self._load -= packets
+        putter = self._putter
+        if putter is not None:
+            self._putter = None
+            if not putter.done():
+                putter.set_result(None)
+        return items, packets
+
+    async def aclose(self) -> None:
+        """Signal end-of-stream: enqueue the :data:`SENTINEL` in order."""
+        await self.put(SENTINEL, 0)
 
 
 class PriorityChannel:

@@ -13,6 +13,8 @@ Trace replay therefore reads time through a clock object:
 :func:`replay` turns a recorded packet list into a paced async stream:
 inter-packet gaps from the capture are honoured at a configurable speed
 multiplier (``speed=0`` streams as fast as the pipeline can drain).
+:func:`replay_chunks` streams a trace unpaced as :class:`PacketChunk`
+items, one engine queue operation per chunk instead of per packet.
 :func:`loop_replay` loops a trace forever at a fixed packet rate — the
 live-fleet traffic source — with timestamps kept monotonic across laps.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import time
 from typing import AsyncIterator, Iterable, Sequence
 
@@ -126,6 +129,61 @@ async def replay(
         if speed == 0 and index % YIELD_EVERY == YIELD_EVERY - 1:
             # Yield to the loop periodically so an unpaced replay cannot
             # starve the downstream stages feeding off our queue puts.
+            await asyncio.sleep(0)
+
+
+class PacketChunk:
+    """Consecutive packets with their labels: one source item, many packets.
+
+    A source may yield chunks instead of ``(packet, label)`` pairs.  On
+    the lossless FIFO ingress a chunk is one queue entry with one arrival
+    stamp; the dropping disciplines and priority lanes admit its packets
+    one by one.  ``labels`` is parallel to ``packets`` (``None`` labels
+    every packet ``None``).
+    """
+
+    __slots__ = ("packets", "labels")
+
+    def __init__(self, packets: list, labels: "list | None" = None) -> None:
+        if labels is None:
+            labels = [None] * len(packets)
+        elif len(labels) != len(packets):
+            raise HomunculusError(
+                f"PacketChunk got {len(labels)} labels for "
+                f"{len(packets)} packets")
+        self.packets = packets
+        self.labels = labels
+
+
+async def replay_chunks(
+    packets: Iterable,
+    labels: "Sequence | None" = None,
+    size: int = 256,
+) -> AsyncIterator:
+    """Stream ``packets`` unpaced as :class:`PacketChunk` items.
+
+    Each chunk holds up to ``size`` consecutive packets (and their
+    ``labels``); like an unpaced :func:`replay`, the stream yields to
+    the event loop every :data:`YIELD_EVERY` packets.
+
+    Example::
+
+        predictions = await engine.run(replay_chunks(packets, labels, 256))
+    """
+    if size < 1:
+        raise HomunculusError(f"replay_chunks size must be >= 1, got {size}")
+    packets = iter(packets)
+    labels = iter(labels) if labels is not None else None
+    sent = 0
+    while True:
+        chunk = list(itertools.islice(packets, size))
+        if not chunk:
+            return
+        n = len(chunk)
+        yield PacketChunk(
+            chunk, list(itertools.islice(labels, n)) if labels is not None else None)
+        sent += n
+        if sent % YIELD_EVERY < n:
             await asyncio.sleep(0)
 
 

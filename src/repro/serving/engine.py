@@ -24,7 +24,10 @@ matrix plus parallel labels, arrival stamps and lanes.
 Backpressure at the ingress queue is a :class:`QueueDiscipline`:
 
 * ``"block"`` — lossless: a full queue stalls the source (replay waits),
-  predictions are bit-identical to the synchronous processor,
+  predictions are bit-identical to the synchronous processor.  Without
+  lanes this ingress is a :class:`~repro.serving.channel.ChunkChannel`:
+  a :class:`~repro.serving.clock.PacketChunk` from the source is one
+  queue entry with one arrival stamp, and the depth counts packets,
 * ``"tail-drop"`` — a full queue drops the arriving packet and counts
   it, emulating the fixed-depth ingress queue of a switch under load,
 * ``"head-drop"`` — a full queue evicts the *oldest* queued packet to
@@ -58,8 +61,19 @@ from repro.errors import HomunculusError
 from repro.obs.trace import NULL_TRACER, get_tracer
 from repro.runtime.stream import extract_rows
 from repro.serving.batching import MicroBatcher, RowBlock
-from repro.serving.channel import SENTINEL, BoundedChannel, PriorityChannel
-from repro.serving.clock import YIELD_EVERY, WallClock, replay
+from repro.serving.channel import (
+    SENTINEL,
+    BoundedChannel,
+    ChunkChannel,
+    PriorityChannel,
+)
+from repro.serving.clock import (
+    YIELD_EVERY,
+    PacketChunk,
+    WallClock,
+    replay,
+    replay_chunks,
+)
 from repro.serving.stats import ServingStats
 
 #: Supported ingress backpressure policies (queue disciplines).
@@ -113,7 +127,8 @@ class AsyncStreamEngine:
         use ``max_latency=None``).
     queue_depth:
         capacity of every stage queue (the switch FIFO depth; per lane,
-        when ``priorities`` is set).
+        when ``priorities`` is set).  The ingress counts packets, also
+        when the source yields :class:`PacketChunk` items.
     drop_policy:
         ingress :class:`~repro.serving.channel.QueueDiscipline` when the
         queue is full (see module docstring).
@@ -279,10 +294,60 @@ class AsyncStreamEngine:
             return PriorityChannel(
                 self.queue_depth, self.priorities, discipline=self.drop_policy
             )
+        if self.drop_policy == "block":
+            return ChunkChannel(self.queue_depth)
         return BoundedChannel(self.queue_depth, discipline=self.drop_policy)
 
+    async def _ingest_chunks(self, source, q_in: ChunkChannel) -> None:
+        """Admit whole chunks at the lossless FIFO ingress.
+
+        One queue entry, one arrival stamp and one counter update per
+        source item: a :class:`PacketChunk` is admitted whole, a single
+        ``Packet`` or ``(packet, label)`` item as one packet.  The
+        ingress depth counts packets, so a chunk that does not fit waits
+        (an oversized one until the queue is empty).  Once the queue is
+        half full the ingest yields so the draining stages get the CPU.
+
+        ``stats.enqueued`` and ``stats.in_flight`` advance by the chunk
+        length, so ``enqueued == packets + dropped + in_flight`` holds
+        in every snapshot.
+        """
+        stats = self.stats
+        now = self.clock.now
+        half = max(1, self.queue_depth // 2)
+        arrived = 0
+        if not hasattr(source, "__aiter__"):
+            source = _aiter(source)
+        async for item in source:
+            if isinstance(item, tuple):
+                n = 1
+                entry = (item[0], item[1], now())
+            elif isinstance(item, PacketChunk):
+                n = len(item.packets)
+                if n > 1:
+                    entry = (item, None, now())
+                elif n:  # a single packet: see _chunk_block
+                    entry = (item.packets[0], item.labels[0], now())
+                else:
+                    continue
+            else:
+                n = 1
+                entry = (item, None, now())
+            stats.enqueued += n
+            stats.in_flight += n
+            try:
+                q_in.put_nowait(entry, n)
+            except asyncio.QueueFull:
+                await q_in.put(entry, n)
+            arrived += n
+            if arrived % 32 < n:  # crossed a multiple of 32 packets
+                stats.observe_queue("ingress", q_in.qsize(), t=now())
+            if q_in.qsize() >= half:
+                await asyncio.sleep(0)
+        await q_in.aclose()
+
     async def _ingest(self, source, q_in) -> None:
-        """Admit packets at the ingress queue under the drop policy.
+        """Admit packets one by one under the drop policy or lanes.
 
         ``offer`` (the discipline's non-blocking admit) is the fast path
         in every policy; a blocking engine falls back to an awaited put
@@ -291,7 +356,9 @@ class AsyncStreamEngine:
         cooperative-scheduling artifacts of the source.  Scheduling
         fairness is driven by queue *occupancy*, not source stride: once
         the ingress queue is half full the ingest yields so the draining
-        stages get the CPU before anything overflows.
+        stages get the CPU before anything overflows.  A
+        :class:`PacketChunk` item is split into its packets, each
+        admitted (and stamped) on its own.
 
         Every arrival increments ``stats.enqueued`` — admitted or not —
         and ``stats.in_flight`` until it is recorded or dropped, so
@@ -308,28 +375,23 @@ class AsyncStreamEngine:
         if not hasattr(source, "__aiter__"):
             source = _aiter(source)
         async for item in source:
-            if isinstance(item, tuple):
-                packet, label = item
+            if isinstance(item, PacketChunk):
+                pairs = zip(item.packets, item.labels)
+            elif isinstance(item, tuple):
+                pairs = (item,)
             else:
-                packet, label = item, None
-            lane = int(lane_of(packet)) if (lanes and lane_of is not None) else 0
-            entry = (packet, label, now(), lane)
-            stats.enqueued += 1
-            stats.in_flight += 1
-            if blocking and not lanes:
-                # Lossless FIFO fast path: skip the discipline dispatch.
-                try:
-                    q_in.put_nowait(entry)
-                except asyncio.QueueFull:
-                    await q_in.put(entry)
-                displaced = None
-            else:
+                pairs = ((item, None),)
+            for packet, label in pairs:
+                lane = int(lane_of(packet)) if (lanes and lane_of is not None) else 0
+                entry = (packet, label, now(), lane)
+                stats.enqueued += 1
+                stats.in_flight += 1
                 if lanes:
                     admitted, displaced = q_in.offer(entry, lane)
                 else:
                     admitted, displaced = q_in.offer(entry)
                 if not admitted:
-                    if blocking:  # block + lanes (FIFO block fast-paths)
+                    if blocking:  # block + lanes (FIFO block takes chunks)
                         await q_in.put(entry, lane)
                     else:  # tail-drop: give the drain stages one chance
                         await asyncio.sleep(0)
@@ -340,18 +402,54 @@ class AsyncStreamEngine:
                         if not admitted:
                             stats.drop("ingress", lane=lane if lanes else None)
                             continue
-            if displaced is not None:
-                # head-drop evicted the oldest queued entry.
-                stats.drop("ingress", lane=displaced[3] if lanes else None)
-            arrived += 1
-            if arrived % 32 == 0:
-                stats.observe_queue("ingress", q_in.qsize(), t=now())
-                if lanes:
-                    for index, depth in enumerate(q_in.lane_sizes()):
-                        stats.observe_queue(f"lane{index}", depth, t=now())
-            if q_in.qsize() >= half:
-                await asyncio.sleep(0)
+                if displaced is not None:
+                    # head-drop evicted the oldest queued entry.
+                    stats.drop("ingress", lane=displaced[3] if lanes else None)
+                arrived += 1
+                if arrived % 32 == 0:
+                    stats.observe_queue("ingress", q_in.qsize(), t=now())
+                    if lanes:
+                        for index, depth in enumerate(q_in.lane_sizes()):
+                            stats.observe_queue(f"lane{index}", depth, t=now())
+                if q_in.qsize() >= half:
+                    await asyncio.sleep(0)
         await q_in.aclose()
+
+    def _chunk_block(self, entries: list, packets: int) -> RowBlock:
+        """One :class:`RowBlock` from drained chunk-ingress entries.
+
+        An entry is ``(chunk, None, stamp)`` for a chunk of two or more
+        packets, else ``(packet, label, stamp)``; every packet of a chunk
+        gets the chunk's stamp.  ``packets`` counts the packets in
+        ``entries``, so it equals ``len(entries)`` exactly when no entry
+        is a chunk.
+        """
+        if packets == len(entries):
+            heads, labels, stamps = zip(*entries)
+            return RowBlock(extract_rows(self.extractor, heads), list(labels),
+                            np.array(stamps, dtype=float),
+                            np.zeros(packets, dtype=int))
+        heads = []
+        labels = []
+        counts = []
+        for head, label, _ in entries:
+            if isinstance(head, PacketChunk):
+                heads.extend(head.packets)
+                labels.extend(head.labels)
+                counts.append(len(head.packets))
+            else:
+                heads.append(head)
+                labels.append(label)
+                counts.append(1)
+        stamps = np.repeat([entry[2] for entry in entries], counts)
+        return RowBlock(extract_rows(self.extractor, heads), labels, stamps,
+                        np.zeros(packets, dtype=int))
+
+    def _packet_block(self, entries: list) -> RowBlock:
+        """One :class:`RowBlock` from drained per-packet entries."""
+        packets, labels, stamps, lanes = zip(*entries)
+        return RowBlock(extract_rows(self.extractor, packets), list(labels),
+                        np.array(stamps, dtype=float), np.array(lanes))
 
     async def _extract(self, q_in, q_rows: BoundedChannel) -> None:
         """Stateful feature extraction in queue-service order.
@@ -367,9 +465,11 @@ class AsyncStreamEngine:
         ``extract_quantum`` bounds how many packets one wakeup may
         process before yielding the event loop — the router's
         deficit-round-robin knob for splitting extraction CPU between
-        routes by weight.
+        routes by weight.  On the chunked ingress a wakeup stops at the
+        first chunk that reaches the quantum.
         """
-        extractor = self.extractor
+        if isinstance(q_in, ChunkChannel):
+            return await self._extract_chunks(q_in, q_rows)
         quantum = self.extract_quantum
         while True:
             item = await q_in.get()
@@ -387,11 +487,24 @@ class AsyncStreamEngine:
                 except asyncio.QueueEmpty:
                     break
             if entries:
-                packets, labels, stamps, lanes = zip(*entries)
-                await q_rows.put(RowBlock(
-                    extract_rows(extractor, packets), list(labels),
-                    np.array(stamps, dtype=float), np.array(lanes),
-                ))
+                await q_rows.put(self._packet_block(entries))
+            if done:
+                await q_rows.put(SENTINEL)
+                return
+            if quantum:
+                await asyncio.sleep(0)  # end of this engine's DRR round
+
+    async def _extract_chunks(self, q_in: ChunkChannel,
+                              q_rows: BoundedChannel) -> None:
+        """:meth:`_extract` over the chunked ingress: one pop per drain."""
+        quantum = self.extract_quantum
+        while True:
+            entries, packets = await q_in.get_many(quantum)
+            done = entries[-1] is SENTINEL  # end-of-stream is last
+            if done:
+                entries.pop()
+            if entries:
+                await q_rows.put(self._chunk_block(entries, packets))
             if done:
                 await q_rows.put(SENTINEL)
                 return
@@ -481,13 +594,17 @@ class AsyncStreamEngine:
     async def run(self, source) -> list:
         """Drive ``source`` through the pipeline; return predictions.
 
-        ``source`` is any (async) iterable of ``Packet`` or
-        ``(Packet, label)`` items — typically
-        :func:`repro.serving.clock.replay`.  The engine drains cleanly
+        ``source`` is any (async) iterable of ``Packet``,
+        ``(Packet, label)`` or :class:`~repro.serving.clock.PacketChunk`
+        items, mixed freely — typically
+        :func:`repro.serving.clock.replay` or
+        :func:`~repro.serving.clock.replay_chunks`.  The engine drains cleanly
         when the source ends; cancelling the coroutine cancels every
         stage task and the inference executor without leaking tasks.
         """
         q_in = self._make_ingress()
+        ingest = (self._ingest_chunks if isinstance(q_in, ChunkChannel)
+                  else self._ingest)
         q_rows = BoundedChannel(self.queue_depth)
         q_batches = BoundedChannel(
             max(1, self.queue_depth // self.batcher.batch_size)
@@ -504,7 +621,7 @@ class AsyncStreamEngine:
             thread_name_prefix="serving-infer",
         )
         tasks = [
-            asyncio.create_task(self._ingest(source, q_in), name="serving-ingest"),
+            asyncio.create_task(ingest(source, q_in), name="serving-ingest"),
             asyncio.create_task(self._extract(q_in, q_rows), name="serving-extract"),
             asyncio.create_task(
                 self.batcher.run(q_rows, q_batches), name="serving-batch"
@@ -538,9 +655,15 @@ class AsyncStreamEngine:
 
         Mirrors :meth:`StreamProcessor.process`: feeds ``packets`` (with
         optional parallel ``labels``) through a :func:`replay` source at
-        ``speed`` and returns the in-order predictions.
+        ``speed`` and returns the in-order predictions.  Unpaced
+        (``speed=0``) the packets go in as :class:`PacketChunk` items of
+        ``min(batch_size, queue_depth)`` packets, one queue operation
+        per chunk on the lossless FIFO ingress.
         """
         labels = list(labels) if labels is not None else None
-        return asyncio.run(
-            self.run(replay(packets, labels, speed=speed, clock=self.clock))
-        )
+        if speed:
+            source = replay(packets, labels, speed=speed, clock=self.clock)
+        else:
+            source = replay_chunks(
+                packets, labels, min(self.batcher.batch_size, self.queue_depth))
+        return asyncio.run(self.run(source))

@@ -132,6 +132,27 @@ class TestServeParser:
         assert "rolling swap completed: bd -> v2" in out
         assert "pipeline swaps: 1" in out
 
+    def test_serve_replays_with_setup_garbage_frozen(self, capsys, monkeypatch):
+        # Training garbage is collected and frozen before the replay, so
+        # no full collection pauses it; the freeze ends with the replay.
+        import gc
+
+        from repro.serving import PipelineRouter
+
+        seen = []
+        process = PipelineRouter.process
+
+        def spy(self, *args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return process(self, *args, **kwargs)
+
+        monkeypatch.setattr(PipelineRouter, "process", spy)
+        assert main(["serve", "--pipelines", "bd", "--flows", "10",
+                     "--batch-size", "32", "--seed", "0"]) == 0
+        assert len(seen) == 1 and seen[0] > 0
+        assert gc.get_freeze_count() == 0
+        assert "[bd]" in capsys.readouterr().out
+
 
 class TestControlServe:
     def test_serve_end_to_end(self, capsys):
