@@ -8,10 +8,10 @@ package implements that stack from scratch:
 * :mod:`repro.bayesopt.space` — typed parameters and the design space,
 * :mod:`repro.bayesopt.surrogate` — random-forest and Gaussian-process
   surrogate models,
-* :mod:`repro.bayesopt.acquisition` — EI, UCB, probability of feasibility,
+* :mod:`repro.bayesopt.acquisition` — EI and probability of feasibility,
 * :mod:`repro.bayesopt.optimizer` — the optimization loop,
 * :mod:`repro.bayesopt.cache` — persistent config-keyed evaluation memo,
-* :mod:`repro.bayesopt.results` — evaluation history and regret curves.
+* :mod:`repro.bayesopt.results` — evaluation history and incumbent curves.
 
 Each loop runs serially.  A search runs in parallel one level up, by
 sharding its (model, family, start) loops across workers with
@@ -21,7 +21,6 @@ sharding its (model, family, start) loops across workers with
 from repro.bayesopt.acquisition import (
     expected_improvement,
     probability_of_feasibility,
-    upper_confidence_bound,
 )
 from repro.bayesopt.cache import EvaluationCache
 from repro.bayesopt.optimizer import BayesianOptimizer, RandomSearchOptimizer
@@ -47,7 +46,6 @@ __all__ = [
     "RandomForestSurrogate",
     "GaussianProcessSurrogate",
     "expected_improvement",
-    "upper_confidence_bound",
     "probability_of_feasibility",
     "BayesianOptimizer",
     "RandomSearchOptimizer",

@@ -30,13 +30,6 @@ def expected_improvement(
     return np.maximum(ei, 0.0)
 
 
-def upper_confidence_bound(
-    mean: np.ndarray, std: np.ndarray, beta: float = 2.0
-) -> np.ndarray:
-    """UCB for maximization: ``mean + beta * std``."""
-    return np.asarray(mean, dtype=float) + beta * np.asarray(std, dtype=float)
-
-
 def probability_of_feasibility(pof: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Clamp a probability-of-feasibility vector into ``[floor, 1]``.
 

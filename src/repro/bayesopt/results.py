@@ -88,16 +88,6 @@ class OptimizationResult:
             curve.append(best)
         return curve
 
-    def regret_curve(self, optimum: "float | None" = None) -> list:
-        """``optimum - incumbent`` per iteration (vs final incumbent by default)."""
-        incumbent = self.incumbent_curve()
-        if optimum is None:
-            finals = [v for v in incumbent if v is not None]
-            if not finals:
-                return [None] * len(incumbent)
-            optimum = finals[-1]
-        return [None if v is None else optimum - v for v in incumbent]
-
     def feasibility_rate(self) -> float:
         """Fraction of evaluations that were feasible."""
         if not self.history:

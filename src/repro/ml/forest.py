@@ -4,6 +4,12 @@ The regressor doubles as the Bayesian-optimization surrogate (the paper
 runs HyperMapper with a random-forest model, §5), so it exposes
 ``predict_with_std`` — the across-tree spread that Expected Improvement
 uses as its uncertainty estimate.
+
+A fit draws every tree's bootstrap sample from that tree's own RNG, then
+hands all the samples to the tree class's batched fit
+(:meth:`~repro.ml.tree._BaseTree._fit_many`), which grows the trees
+together, one batch of nodes per pass.  A tree class without a batched
+fit gets ``fit`` once per tree; the forest is the same either way.
 """
 
 from __future__ import annotations
@@ -56,22 +62,22 @@ class _BaseForest:
             raise TrainingError("X and y disagree on sample count")
         if X.shape[0] == 0:
             raise TrainingError("cannot fit a forest on an empty dataset")
-        self.trees = []
         rngs = spawn(self._rng, self.n_estimators)
+        self.trees = [self._make_tree(rng) for rng in rngs]
         n = X.shape[0]
-        for rng in rngs:
-            tree = self._make_tree(rng)
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                tree.fit(X[idx], y[idx])
-            else:
-                tree.fit(X, y)
-            self.trees.append(tree)
+        samples = np.stack([rng.integers(0, n, size=n) for rng in rngs]) if self.bootstrap else None
+        fit_many = getattr(self._tree_class, "_fit_many", None)
+        if fit_many is not None:
+            fit_many(self.trees, X, y, samples)
+        else:  # a tree class without the batched fit grows one tree at a time
+            for t, tree in enumerate(self.trees):
+                rows = slice(None) if samples is None else samples[t]
+                tree.fit(X[rows], y[rows])
         return self
 
 
 class RandomForestClassifier(_BaseForest):
-    """Majority-vote ensemble of Gini CART trees."""
+    """Majority-vote ensemble of Gini CART trees, grown together."""
 
     _tree_class = DecisionTreeClassifier
 
@@ -109,7 +115,7 @@ class RandomForestClassifier(_BaseForest):
 
 
 class RandomForestRegressor(_BaseForest):
-    """Mean-aggregated ensemble of variance-reduction CART trees."""
+    """Mean-aggregated ensemble of variance-reduction CART trees, grown together."""
 
     _tree_class = DecisionTreeRegressor
 

@@ -111,14 +111,6 @@ class TestOptimizationResult:
         assert result.best is None
         assert result.best_objective is None
 
-    def test_regret_curve_vs_final(self):
-        result = OptimizationResult()
-        for value in (0.2, 0.5, 0.4, 0.9):
-            result.append(Evaluation(config={}, objective=value))
-        regret = result.regret_curve()
-        assert regret[0] == pytest.approx(0.7)
-        assert regret[-1] == pytest.approx(0.0)
-
     def test_feasibility_rate(self):
         result = OptimizationResult()
         result.append(Evaluation(config={}, objective=1.0, feasible=True))

@@ -7,7 +7,6 @@ from repro.bayesopt.acquisition import (
     constrained_expected_improvement,
     expected_improvement,
     probability_of_feasibility,
-    upper_confidence_bound,
 )
 from repro.bayesopt.surrogate import (
     FeasibilityModel,
@@ -112,10 +111,6 @@ class TestAcquisition:
     def test_ei_degenerate_std_uses_plain_improvement(self):
         ei = expected_improvement(np.array([2.0]), np.array([0.0]), best=1.0)
         assert ei[0] == pytest.approx(1.0)
-
-    def test_ucb(self):
-        ucb = upper_confidence_bound(np.array([1.0]), np.array([0.5]), beta=2.0)
-        assert ucb[0] == pytest.approx(2.0)
 
     def test_pof_clamped(self):
         out = probability_of_feasibility(np.array([-0.5, 0.5, 1.5]), floor=0.1)

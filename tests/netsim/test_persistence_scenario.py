@@ -1,15 +1,9 @@
-"""Tests for binary trace persistence and HyperMapper scenario files."""
+"""Tests for binary trace persistence."""
 
 import pytest
 
-from repro.bayesopt.scenario import (
-    optimizer_from_scenario,
-    scenario_from_json,
-    scenario_to_json,
-)
-from repro.bayesopt.space import DesignSpace, Integer, Real
 from repro.datasets.botnet import generate_botnet_flows
-from repro.errors import DatasetError, DesignSpaceError
+from repro.errors import DatasetError
 from repro.netsim.persistence import read_trace, write_trace
 
 
@@ -74,45 +68,3 @@ class TestTracePersistence:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             read_trace(str(tmp_path / "nope.bin"))
-
-
-class TestScenario:
-    @pytest.fixture
-    def space(self):
-        return DesignSpace([Integer("layers", 1, 5), Real("lr", 0.001, 0.1)])
-
-    def test_round_trip(self, space):
-        text = scenario_to_json("ad", space, budget=15, warmup=4, metric="f1", seed=3)
-        scenario = scenario_from_json(text)
-        assert scenario["name"] == "ad"
-        assert scenario["budget"] == 15
-        assert scenario["warmup"] == 4
-        assert scenario["metric"] == "f1"
-        assert scenario["seed"] == 3
-        assert scenario["space"].names == space.names
-
-    def test_hypermapper_keys_present(self, space):
-        import json
-
-        doc = json.loads(scenario_to_json("ad", space))
-        assert doc["models"] == {"model": "random_forest"}
-        assert doc["design_of_experiment"]["doe_type"] == "random sampling"
-
-    def test_optimizer_from_scenario_runs(self, space):
-        text = scenario_to_json("toy", space, budget=12, warmup=3, seed=0)
-        optimizer, budget = optimizer_from_scenario(
-            text, lambda cfg: float(cfg["layers"])
-        )
-        result = optimizer.run(budget)
-        assert len(result) == 12
-        assert result.best.objective >= 4.0  # near-max of the 5 levels
-
-    def test_malformed_rejected(self):
-        with pytest.raises(DesignSpaceError):
-            scenario_from_json("{not json")
-        with pytest.raises(DesignSpaceError):
-            scenario_from_json("{}")
-
-    def test_bad_budget_rejected(self, space):
-        with pytest.raises(DesignSpaceError):
-            scenario_to_json("x", space, budget=0)
