@@ -141,11 +141,6 @@ class MapReduceProgram:
             return []
         return [dense[0].in_dim] + [s.out_dim for s in dense]
 
-    @property
-    def n_weight_words(self) -> int:
-        """Total stored words (weights + biases) across dense stages."""
-        return sum(s.weight_codes.size + s.bias_codes.size for s in self.dense_stages)
-
 
 def _scale_stage_from(scaler, fmt: FixedPointFormat) -> ScaleStage:
     """Build a :class:`ScaleStage` from a fitted StandardScaler.

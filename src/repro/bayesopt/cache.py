@@ -7,8 +7,7 @@ already tried (common near the end of small discrete spaces).
 by a canonical string of their sorted items, hits return the stored
 :class:`~repro.bayesopt.results.Evaluation` instantly, and the whole
 table can spill to a versioned JSON file so later searches warm-start
-from earlier ones (the JSON analogue of the binary trace format in
-:mod:`repro.netsim.persistence`).
+from earlier ones.
 
 The cache is thread-safe, so searches running on threads (the
 in-process shard launcher) may share one instance.
@@ -24,7 +23,7 @@ from repro.bayesopt.results import Evaluation
 from repro.errors import DesignSpaceError
 from repro.fsio import atomic_write_json, jsonable
 
-#: File format tag and version, checked on load (persistence convention).
+#: File format tag and version, checked on load.
 FORMAT = "homunculus-evaluation-cache"
 VERSION = 1
 

@@ -51,13 +51,6 @@ class FabricReport:
             for e in self.plan.devices
         }
 
-    def utilization(self) -> dict:
-        """Per device: resource usage against its budget."""
-        return {
-            device: {"used": dict(doc["used"]), "limits": dict(doc["limits"])}
-            for device, doc in self.plan.placement.get("devices", {}).items()
-        }
-
     # -- fabric rollups --------------------------------------------------
     def worst_objective(self) -> dict:
         """The lowest-scoring (device, app) pair — the accuracy floor."""
@@ -67,16 +60,6 @@ class FabricReport:
             "app": worst["app"],
             "metric": worst["metric"],
             "objective": worst["objective"],
-        }
-
-    def worst_latency(self) -> dict:
-        """The slowest (device, app) pair — the latency ceiling."""
-        worst = max(self.plan.devices,
-                    key=lambda e: e["performance"]["latency_ns"])
-        return {
-            "device": worst["device"],
-            "app": worst["app"],
-            "latency_ns": worst["performance"]["latency_ns"],
         }
 
     def tier_headroom(self) -> dict:

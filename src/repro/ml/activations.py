@@ -102,8 +102,3 @@ def get_activation(name: "str | Activation") -> Activation:
         raise TrainingError(
             f"unknown activation {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def available_activations() -> list[str]:
-    """Names of all registered activations."""
-    return sorted(_REGISTRY)

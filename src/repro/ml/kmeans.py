@@ -114,10 +114,6 @@ class KMeans:
         dists = ((X[:, None, :] - self.cluster_centers_[None, :, :]) ** 2).sum(-1)
         return dists.argmin(axis=1)
 
-    def fit_predict(self, X) -> np.ndarray:
-        """:meth:`fit` on ``X`` and return its cluster assignments."""
-        return self.fit(X).predict(X)
-
     def merge_clusters(self, target: int) -> "KMeans":
         """Return a coarser model with ``target`` clusters.
 

@@ -67,11 +67,6 @@ class Flow:
     def mean_size(self) -> float:
         return float(self.sizes.mean()) if self.packets else 0.0
 
-    @property
-    def mean_ipt(self) -> float:
-        ipt = self.inter_arrival_times
-        return float(ipt.mean()) if ipt.size else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Flow(n={len(self)}, dur={self.duration:.1f}s, label={self.label!r})"
 
@@ -97,10 +92,6 @@ class FlowTable:
             self._flows[key] = flow
         flow.add(packet)
         return flow
-
-    def observe_all(self, packets: Iterable[Packet]) -> None:
-        for p in packets:
-            self.observe(p)
 
     @property
     def flows(self) -> list[Flow]:

@@ -3,8 +3,8 @@
 ``generate()`` produces a data-plane program; :mod:`repro.runtime` runs
 it synchronously.  This package is the *deployment* layer above both: an
 asyncio engine that pipelines **extract -> micro-batch -> infer ->
-record** through bounded queues with configurable queue disciplines
-(block / tail-drop / head-drop), weighted priority lanes with
+record** through bounded queues behind one ingress channel with a drop
+policy (block / tail-drop / head-drop) and weighted priority lanes with
 deficit-round-robin drain, deadline micro-batching, deterministic trace
 replay, hitless pipeline swap, online latency percentiles with
 ring-buffered depth/latency time series, and multi-pipeline routing
@@ -15,13 +15,7 @@ See ``docs/serving.md`` for the operator-facing tour.
 """
 
 from repro.serving.batching import MicroBatcher, RowBlock
-from repro.serving.channel import (
-    DISCIPLINES,
-    BoundedChannel,
-    ChunkChannel,
-    PriorityChannel,
-    QueueDiscipline,
-)
+from repro.serving.channel import DROP_POLICIES, BoundedChannel, ChunkChannel
 from repro.serving.clock import (
     PacketChunk,
     VirtualClock,
@@ -31,7 +25,7 @@ from repro.serving.clock import (
     replay_chunks,
 )
 from repro.serving.device import TimedPipeline
-from repro.serving.engine import DROP_POLICIES, AsyncStreamEngine
+from repro.serving.engine import AsyncStreamEngine
 from repro.serving.router import PipelineRouter, Route
 from repro.serving.stats import LatencyHistogram, RingSeries, ServingStats
 
@@ -39,13 +33,10 @@ __all__ = [
     "AsyncStreamEngine",
     "BoundedChannel",
     "ChunkChannel",
-    "DISCIPLINES",
     "DROP_POLICIES",
     "MicroBatcher",
     "PacketChunk",
     "PipelineRouter",
-    "PriorityChannel",
-    "QueueDiscipline",
     "Route",
     "RowBlock",
     "TimedPipeline",

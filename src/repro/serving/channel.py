@@ -1,4 +1,4 @@
-"""Bounded stage channels: FIFO, queue disciplines, and priority lanes.
+"""Bounded stage channels: the internal FIFO and the ingress.
 
 ``asyncio.Queue`` is general (many producers, many consumers, task
 accounting) and pays for it on every operation; a serving pipeline only
@@ -7,18 +7,15 @@ rate the queue operations *are* the hot path.  This module provides the
 switch-style alternatives:
 
 * :class:`BoundedChannel` — a bounded SPSC FIFO with a plain deque fast
-  path and futures only for the empty/full edges,
-* :class:`ChunkChannel` — the lossless variant for packet chunks: one
-  queue operation per chunk, depth counted in packets,
-* :class:`QueueDiscipline` — the admission policy applied when a
-  bounded queue is full (``block``, ``tail-drop``, ``head-drop``),
-* :class:`PriorityChannel` — N weighted lanes drained in
-  deficit-round-robin order, the multi-queue ingress of a real switch
-  port.
+  path and futures only for the empty/full edges; it always blocks when
+  full, as host-internal stages must,
+* :class:`ChunkChannel` — the ingress of a switch port: weighted lanes
+  drained in deficit-round-robin order, depth counted in packets, and
+  one of the :data:`DROP_POLICIES` applied to a packet that finds its
+  lane full.
 
-Single producer, single consumer: at most one task may block in
-``get`` and one in ``put`` (per lane, for the priority channel) at any
-time — exactly the stage topology of
+Single producer, single consumer: at most one task may block in a get
+and one in a put at any time — exactly the stage topology of
 :class:`~repro.serving.engine.AsyncStreamEngine`.
 """
 
@@ -32,88 +29,13 @@ from repro.errors import HomunculusError
 #: End-of-stream marker forwarded through stage queues.
 SENTINEL = object()
 
-
-class QueueDiscipline:
-    """Admission policy for a full bounded queue.
-
-    A discipline decides what happens when an item arrives at a queue
-    that is already at capacity.  It is stateless: :meth:`admit` is
-    handed the queue's deque and returns
-
-    ``(admitted, displaced)``
-        *admitted* — whether the arriving item is now in the queue;
-        *displaced* — the item that fell out (the arrival itself under
-        ``tail-drop``, the previously queued head under ``head-drop``,
-        ``None`` otherwise).
-
-    Example — a tail-drop channel drops the arrival once full::
-
-        ch = BoundedChannel(1, discipline="tail-drop")
-        assert ch.offer("a") == (True, None)
-        assert ch.offer("b") == (False, "b")    # queue full: arrival lost
-
-    The three built-ins mirror switch ingress-queue behaviour:
-
-    ``block``
-        lossless: the arrival is refused and the caller is expected to
-        await :meth:`BoundedChannel.put` (backpressure to the source).
-    ``tail-drop``
-        the arriving item is dropped — a fixed-depth switch FIFO under
-        overload.
-    ``head-drop``
-        the *oldest* queued item is evicted to make room — fresher data
-        wins, the right policy when stale telemetry is worthless.
-    """
-
-    #: Registry name, also the CLI ``--drop-policy`` spelling.
-    name: str = "block"
-
-    def admit(self, items: deque, depth: int, item) -> "tuple[bool, object | None]":
-        if len(items) < depth:
-            items.append(item)
-            return True, None
-        return self._on_full(items, item)
-
-    def _on_full(self, items: deque, item) -> "tuple[bool, object | None]":
-        # block: refuse; the caller escalates to an awaited put().
-        return False, None
-
-
-class TailDrop(QueueDiscipline):
-    """Drop the arriving item when the queue is full."""
-
-    name = "tail-drop"
-
-    def _on_full(self, items: deque, item) -> "tuple[bool, object | None]":
-        return False, item
-
-
-class HeadDrop(QueueDiscipline):
-    """Evict the oldest queued item to admit the arrival."""
-
-    name = "head-drop"
-
-    def _on_full(self, items: deque, item) -> "tuple[bool, object | None]":
-        displaced = items.popleft()
-        items.append(item)
-        return True, displaced
-
-
-#: Discipline registry, keyed by CLI spelling.
-DISCIPLINES = {cls.name: cls for cls in (QueueDiscipline, TailDrop, HeadDrop)}
-
-
-def make_discipline(discipline: "str | QueueDiscipline") -> QueueDiscipline:
-    """Resolve a discipline name (or pass an instance through)."""
-    if isinstance(discipline, QueueDiscipline):
-        return discipline
-    cls = DISCIPLINES.get(discipline)
-    if cls is None:
-        raise HomunculusError(
-            f"unknown queue discipline {discipline!r}; "
-            f"expected one of {sorted(DISCIPLINES)}"
-        )
-    return cls()
+#: Ingress drop policies (also the CLI ``--drop-policy`` spellings): what
+#: :meth:`ChunkChannel.offer` does with a packet whose lane is full.
+#: ``block`` refuses it (the caller awaits a put: backpressure to the
+#: source), ``tail-drop`` sheds the arrival (a fixed-depth switch FIFO
+#: under overload) and ``head-drop`` evicts the lane's oldest entry
+#: (fresher data wins, when a stale verdict is worthless).
+DROP_POLICIES = ("block", "tail-drop", "head-drop")
 
 
 class BoundedChannel:
@@ -126,44 +48,26 @@ class BoundedChannel:
         await ch.put(item)           # blocks (backpressure) instead
         item = await ch.get()        # blocks on empty
 
-    The configured :class:`QueueDiscipline` is applied by
-    :meth:`offer`, the engine's admission fast path; ``put``/``get``
-    keep ``asyncio.Queue`` semantics so call sites read like queue code.
+    It always blocks when full: ``put``/``get`` keep ``asyncio.Queue``
+    semantics so call sites read like queue code.
     """
 
-    __slots__ = ("_items", "_depth", "_getter", "_putter", "discipline")
+    __slots__ = ("_items", "_depth", "_getter", "_putter")
 
-    def __init__(self, depth: int, discipline: "str | QueueDiscipline" = "block") -> None:
+    def __init__(self, depth: int) -> None:
         if depth < 1:
             raise ValueError(f"channel depth must be >= 1, got {depth}")
         self._items: deque = deque()
         self._depth = int(depth)
         self._getter: "asyncio.Future | None" = None
         self._putter: "asyncio.Future | None" = None
-        self.discipline = make_discipline(discipline)
 
     def qsize(self) -> int:
         return len(self._items)
 
-    def full(self) -> bool:
-        return len(self._items) >= self._depth
-
     def _wake(self, waiter: "asyncio.Future | None") -> None:
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
-
-    def offer(self, item) -> "tuple[bool, object | None]":
-        """Admit ``item`` under the channel's discipline.
-
-        Returns ``(admitted, displaced)`` — see :class:`QueueDiscipline`.
-        Never blocks; under ``block`` a refusal means the caller should
-        fall back to an awaited :meth:`put`.
-        """
-        admitted, displaced = self.discipline.admit(self._items, self._depth, item)
-        if admitted and self._getter is not None:
-            self._wake(self._getter)
-            self._getter = None
-        return admitted, displaced
 
     def put_nowait(self, item) -> None:
         if len(self._items) >= self._depth:
@@ -210,52 +114,145 @@ class BoundedChannel:
 
 
 class ChunkChannel:
-    """Lossless bounded FIFO of packet chunks whose depth counts packets.
+    """Bounded ingress of weighted lanes whose depth counts packets.
 
-    Every item is put with its ``size`` (the packets it carries), and
-    :meth:`qsize` is the packets queued, so ``depth`` means the same as
-    on a per-packet :class:`BoundedChannel`.  A chunk larger than the
-    free space waits; one larger than the whole depth is admitted once
-    the channel is empty, so no chunk can wedge its producer.  The
-    consumer takes everything queued in one :meth:`get_many` call.
+    Every entry is queued with its ``size`` (the packets it carries:
+    a whole chunk, or one packet), and each lane holds at most ``depth``
+    packets.  An entry larger than its lane's free space waits; one
+    larger than the whole depth is admitted once the lane is empty, so
+    no chunk can wedge its producer.  :meth:`offer` admits one packet
+    under the channel's drop ``policy`` instead of waiting.
 
-    Example — the lossless ingress of the engine::
+    The consumer takes queued entries with :meth:`get_many`, which
+    drains the lanes by **deficit round robin**: a weighted lane earns
+    ``weight`` credits each time the scheduler reaches it and pays one
+    credit per packet it hands out, so over any backlogged interval lane
+    *i* gets ``weight_i / sum(weights)`` of the packets.  An entry is
+    never split; the credit a chunk overdraws is repaid from its lane's
+    next rounds.  A lane of weight 0 is a *scavenger*, served only when
+    every weighted lane is empty.  End of stream is put by
+    :meth:`aclose` and handed out as the :data:`SENTINEL` once every
+    lane is empty.
 
-        ch = ChunkChannel(depth=1024)
-        await ch.put(entry, size=256)   # waits while 256 packets do not fit
-        entries, packets = await ch.get_many()
-        ch.qsize()                      # packets still queued
+    Example — a 4:1 high/low split under tail-drop::
+
+        ch = ChunkChannel(depth=512, weights=(4, 1), policy="tail-drop")
+        ch.offer(urgent, lane=0)         # -> (admitted, displaced)
+        ch.offer(bulk, lane=1)
+        await ch.put(chunk, size=256)    # lane 0; waits while it does not fit
+        entries, packets = await ch.get_many(limit=64)
+        ch.qsize(), ch.lane_sizes()      # packets queued: total, per lane
 
     Single producer, single consumer, like :class:`BoundedChannel`.
     """
 
-    __slots__ = ("_items", "_load", "_depth", "_getter", "_putter")
+    __slots__ = ("weights", "policy", "_lanes", "_loads", "_load", "_depth",
+                 "_closed", "_ring", "_cursor", "_deficits", "_scavengers",
+                 "_scavenger_cursor", "_getter", "_putter")
 
-    def __init__(self, depth: int) -> None:
+    def __init__(self, depth: int, weights=(1,), policy: str = "block") -> None:
         if depth < 1:
             raise ValueError(f"channel depth must be >= 1, got {depth}")
-        self._items: deque = deque()
+        weights = tuple(int(w) for w in weights)
+        if not weights:
+            raise HomunculusError("a channel needs at least one lane")
+        if any(w < 0 for w in weights):
+            raise HomunculusError(f"lane weights must be >= 0, got {weights}")
+        if not any(weights):
+            raise HomunculusError("at least one lane weight must be positive")
+        if policy not in DROP_POLICIES:
+            raise HomunculusError(
+                f"drop policy must be one of {DROP_POLICIES}, got {policy!r}")
+        self.weights = weights
+        self.policy = policy
+        self._lanes = [deque() for _ in weights]
+        self._loads = [0] * len(weights)
         self._load = 0
         self._depth = int(depth)
+        self._closed = False
         self._getter: "asyncio.Future | None" = None
         self._putter: "asyncio.Future | None" = None
+        # DRR state: the weighted lanes rotate in the ring, each with its
+        # credit; scavengers sit outside it and are polled round robin.
+        self._ring = [i for i, w in enumerate(weights) if w > 0]
+        self._cursor = 0
+        self._deficits = [0] * len(weights)
+        self._deficits[self._ring[0]] = weights[self._ring[0]]
+        self._scavengers = [i for i, w in enumerate(weights) if w == 0]
+        self._scavenger_cursor = 0
 
     def qsize(self) -> int:
+        """Packets queued over all lanes."""
         return self._load
 
-    def put_nowait(self, item, size: int) -> None:
-        if self._load and self._load + size > self._depth:
+    def lane_sizes(self) -> tuple:
+        """Packets queued in every lane (telemetry)."""
+        return tuple(self._loads)
+
+    def _lane(self, lane: int) -> int:
+        if not 0 <= lane < len(self._lanes):
+            raise HomunculusError(
+                f"lane {lane} out of range for {len(self._lanes)} lanes")
+        return lane
+
+    def offer(self, entry, lane: int = 0) -> "tuple[bool, object | None]":
+        """Admit one packet's ``entry`` to ``lane`` under the drop policy.
+
+        Returns ``(admitted, displaced)``: whether ``entry`` is now
+        queued, and the entry that fell out — ``entry`` itself under
+        ``tail-drop``, the lane's oldest under ``head-drop``, ``None``
+        otherwise.  Never blocks; under ``block`` a refusal means the
+        caller should fall back to an awaited :meth:`put`.
+        """
+        lane = self._lane(lane)
+        queue = self._lanes[lane]
+        displaced = None
+        if self._loads[lane] >= self._depth:
+            if self.policy == "block":
+                return False, None
+            if self.policy == "tail-drop":
+                return False, entry
+            displaced, size = queue.popleft()
+            self._loads[lane] -= size
+            self._load -= size
+        queue.append((entry, 1))
+        self._loads[lane] += 1
+        self._load += 1
+        getter = self._getter
+        if getter is not None:
+            self._getter = None
+            if not getter.done():
+                getter.set_result(None)
+        return True, displaced
+
+    def put_nowait(self, item, size: int, lane: int = 0) -> None:
+        """Queue ``item`` of ``size`` packets; ``QueueFull`` if it does not fit.
+
+        Putting the :data:`SENTINEL` closes the channel instead.
+        """
+        if lane:  # lane 0 always exists
+            self._lane(lane)
+        loads = self._loads
+        load = loads[lane]
+        if load and load + size > self._depth:
             raise asyncio.QueueFull
-        self._items.append((item, size))
-        self._load += size
+        if item is SENTINEL:
+            self._closed = True
+        else:
+            self._lanes[lane].append((item, size))
+            loads[lane] = load + size
+            self._load += size
         getter = self._getter
         if getter is not None:
             self._getter = None
             if not getter.done():
                 getter.set_result(None)
 
-    async def put(self, item, size: int) -> None:
-        while self._load and self._load + size > self._depth:
+    async def put(self, item, size: int, lane: int = 0) -> None:
+        """Wait until ``item`` fits in ``lane``, then queue it."""
+        lane = self._lane(lane)
+        loads = self._loads
+        while loads[lane] and loads[lane] + size > self._depth:
             waiter = asyncio.get_running_loop().create_future()
             self._putter = waiter
             try:
@@ -263,16 +260,54 @@ class ChunkChannel:
             finally:
                 if self._putter is waiter:
                     self._putter = None
-        self.put_nowait(item, size)
+        # Lane 0 keeps the two-argument call of a single-lane producer,
+        # the form the chunked-ingress tests intercept.
+        if lane:
+            self.put_nowait(item, size, lane)
+        else:
+            self.put_nowait(item, size)
+
+    def _next_lane(self) -> "int | None":
+        """The lane deficit round robin serves next (``None``: all empty)."""
+        lanes = self._lanes
+        ring = self._ring
+        if any(lanes[i] for i in ring):
+            deficits = self._deficits
+            # Serve the current lane while it has entries and credit;
+            # otherwise advance, recharging the lane entered.  A lane
+            # found empty forfeits its credit (work conservation).
+            while True:
+                lane = ring[self._cursor]
+                if not lanes[lane]:
+                    deficits[lane] = 0
+                elif deficits[lane] > 0:
+                    return lane
+                self._cursor = (self._cursor + 1) % len(ring)
+                lane = ring[self._cursor]
+                deficits[lane] += self.weights[lane]
+        if not any(lanes):
+            return None
+        # Weighted lanes idle: the current one starts a fresh round, and
+        # the scavengers are polled round robin.
+        lane = ring[self._cursor]
+        self._deficits[lane] = self.weights[lane]
+        scavengers = self._scavengers
+        while True:
+            lane = scavengers[self._scavenger_cursor]
+            self._scavenger_cursor = (self._scavenger_cursor + 1) % len(scavengers)
+            if lanes[lane]:
+                return lane
 
     async def get_many(self, limit: int = 0) -> tuple:
-        """Wait for an item, then pop queued items in order.
+        """Wait for an entry or end of stream, then pop entries in DRR order.
 
-        Stops when the channel is empty or, with ``limit``, once the
-        popped items hold ``limit`` packets.  Returns ``(items,
-        packets)``.
+        Stops when every lane is empty or, with ``limit``, once the
+        popped entries hold ``limit`` packets.  Returns ``(entries,
+        packets)``; once the channel is closed and drained, the last
+        entry is the :data:`SENTINEL`.
         """
-        while not self._items:
+        lanes = self._lanes
+        while not (self._closed or any(lanes)):
             waiter = asyncio.get_running_loop().create_future()
             self._getter = waiter
             try:
@@ -280,204 +315,38 @@ class ChunkChannel:
             finally:
                 if self._getter is waiter:
                     self._getter = None
-        items = []
+        entries = []
         packets = 0
-        queue = self._items
-        while queue:
-            item, size = queue.popleft()
-            items.append(item)
-            packets += size
-            if limit and packets >= limit:
-                break
+        loads = self._loads
+        if len(lanes) == 1:  # one lane is a FIFO: no scheduling
+            queue = lanes[0]
+            while queue:
+                item, size = queue.popleft()
+                entries.append(item)
+                packets += size
+                if limit and packets >= limit:
+                    break
+            loads[0] -= packets
+        else:
+            deficits = self._deficits
+            while (lane := self._next_lane()) is not None:
+                item, size = lanes[lane].popleft()
+                loads[lane] -= size
+                deficits[lane] -= size
+                entries.append(item)
+                packets += size
+                if limit and packets >= limit:
+                    break
         self._load -= packets
+        if self._closed and not (limit and packets >= limit) and not any(lanes):
+            entries.append(SENTINEL)
         putter = self._putter
         if putter is not None:
             self._putter = None
             if not putter.done():
                 putter.set_result(None)
-        return items, packets
+        return entries, packets
 
     async def aclose(self) -> None:
-        """Signal end-of-stream: enqueue the :data:`SENTINEL` in order."""
+        """Signal end-of-stream, handed out once every lane is drained."""
         await self.put(SENTINEL, 0)
-
-
-class PriorityChannel:
-    """N bounded lanes drained by deficit round robin.
-
-    The multi-queue ingress of a switch port: each lane is its own
-    fixed-depth FIFO with its own :class:`QueueDiscipline`, and the
-    single consumer drains lanes by **deficit round robin** — each lane
-    earns ``weight`` credits per scheduler round (the DRR quantum, with
-    every packet costing one credit), so over any backlogged interval
-    lane *i* receives ``weight_i / sum(weights)`` of the drain
-    capacity.  A lane with weight 0 is a *scavenger*: it is served only
-    when every weighted lane is empty.
-
-    Example — a 4:1 high/low split in front of an engine::
-
-        ch = PriorityChannel(depth=512, weights=(4, 1),
-                             discipline="tail-drop")
-        ch.offer(urgent, lane=0)
-        ch.offer(bulk, lane=1)
-        item = await ch.get()        # DRR order across backlogged lanes
-        ch.close()                   # get() yields SENTINEL once drained
-
-    Unlike a FIFO there is no single "end of queue", so end-of-stream is
-    signalled with :meth:`close`: ``get`` keeps returning queued items
-    in DRR order and hands out the :data:`SENTINEL` only once every
-    lane is empty.
-    """
-
-    def __init__(
-        self,
-        depth: int,
-        weights,
-        discipline: "str | QueueDiscipline" = "block",
-    ) -> None:
-        weights = tuple(int(w) for w in weights)
-        if not weights:
-            raise HomunculusError("PriorityChannel needs at least one lane")
-        if any(w < 0 for w in weights):
-            raise HomunculusError(f"lane weights must be >= 0, got {weights}")
-        if not any(w > 0 for w in weights):
-            raise HomunculusError("at least one lane weight must be positive")
-        if depth < 1:
-            raise HomunculusError(f"lane depth must be >= 1, got {depth}")
-        self.weights = weights
-        self.depth = int(depth)
-        self.discipline = make_discipline(discipline)
-        self._lanes = [deque() for _ in weights]
-        self._size = 0
-        self._closed = False
-        self._getter: "asyncio.Future | None" = None
-        self._putters: dict = {}
-        # DRR state over the weighted lanes (scavengers sit outside the
-        # rotation and are polled round-robin when the ring is empty).
-        self._ring = [i for i, w in enumerate(weights) if w > 0]
-        self._cursor = 0
-        self._credit = weights[self._ring[0]]
-        self._scavengers = [i for i, w in enumerate(weights) if w == 0]
-        self._scavenger_cursor = 0
-
-    @property
-    def n_lanes(self) -> int:
-        return len(self.weights)
-
-    def qsize(self) -> int:
-        return self._size
-
-    def lane_sizes(self) -> tuple:
-        """Current depth of every lane (telemetry)."""
-        return tuple(len(lane) for lane in self._lanes)
-
-    def full(self, lane: int = 0) -> bool:
-        return len(self._lanes[lane]) >= self.depth
-
-    def _wake_getter(self) -> None:
-        if self._getter is not None:
-            if not self._getter.done():
-                self._getter.set_result(None)
-            self._getter = None
-
-    def _check_lane(self, lane: int) -> int:
-        lane = int(lane)
-        if not 0 <= lane < len(self._lanes):
-            raise HomunculusError(
-                f"lane {lane} out of range for {len(self._lanes)} lanes"
-            )
-        return lane
-
-    def offer(self, item, lane: int = 0) -> "tuple[bool, object | None]":
-        """Admit ``item`` to ``lane`` under the channel's discipline."""
-        lane = self._check_lane(lane)
-        admitted, displaced = self.discipline.admit(
-            self._lanes[lane], self.depth, item
-        )
-        if admitted:
-            if displaced is None:
-                self._size += 1
-            self._wake_getter()
-        return admitted, displaced
-
-    def put_nowait(self, item, lane: int = 0) -> None:
-        lane = self._check_lane(lane)
-        if len(self._lanes[lane]) >= self.depth:
-            raise asyncio.QueueFull
-        self._lanes[lane].append(item)
-        self._size += 1
-        self._wake_getter()
-
-    async def put(self, item, lane: int = 0) -> None:
-        lane = self._check_lane(lane)
-        while len(self._lanes[lane]) >= self.depth:
-            waiter = asyncio.get_running_loop().create_future()
-            self._putters[lane] = waiter
-            try:
-                await waiter
-            finally:
-                if self._putters.get(lane) is waiter:
-                    del self._putters[lane]
-        self.put_nowait(item, lane)
-
-    def _wake_putter(self, lane: int) -> None:
-        waiter = self._putters.get(lane)
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    def _pop(self, lane: int):
-        item = self._lanes[lane].popleft()
-        self._size -= 1
-        self._wake_putter(lane)
-        return item
-
-    def get_nowait(self):
-        """Pop the next item in DRR order (QueueEmpty when drained).
-
-        Once :meth:`close` has been called and every lane is empty, the
-        :data:`SENTINEL` is returned instead.
-        """
-        if self._size == 0:
-            if self._closed:
-                return SENTINEL
-            raise asyncio.QueueEmpty
-        ring = self._ring
-        # One DRR scan: serve the current lane while it has credit and
-        # items; advance (recharging the entered lane) otherwise.  Empty
-        # lanes are skipped without consuming credit — work conservation.
-        for _ in range(2 * len(ring)):
-            lane = ring[self._cursor]
-            if self._lanes[lane] and self._credit > 0:
-                self._credit -= 1
-                return self._pop(lane)
-            self._cursor = (self._cursor + 1) % len(ring)
-            self._credit = self.weights[ring[self._cursor]]
-        # Weighted lanes all empty: poll scavenger lanes round-robin.
-        for _ in range(len(self._scavengers)):
-            lane = self._scavengers[self._scavenger_cursor]
-            self._scavenger_cursor = (
-                self._scavenger_cursor + 1
-            ) % len(self._scavengers)
-            if self._lanes[lane]:
-                return self._pop(lane)
-        raise asyncio.QueueEmpty  # unreachable: _size > 0 implies a hit
-
-    async def get(self):
-        while self._size == 0 and not self._closed:
-            waiter = asyncio.get_running_loop().create_future()
-            self._getter = waiter
-            try:
-                await waiter
-            finally:
-                if self._getter is waiter:
-                    self._getter = None
-        return self.get_nowait()
-
-    def close(self) -> None:
-        """Mark end-of-stream; ``get`` returns SENTINEL once drained."""
-        self._closed = True
-        self._wake_getter()
-
-    async def aclose(self) -> None:
-        """Async spelling of :meth:`close` (BoundedChannel parity)."""
-        self.close()

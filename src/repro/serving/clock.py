@@ -136,9 +136,9 @@ class PacketChunk:
     """Consecutive packets with their labels: one source item, many packets.
 
     A source may yield chunks instead of ``(packet, label)`` pairs.  On
-    the lossless FIFO ingress a chunk is one queue entry with one arrival
-    stamp; the dropping disciplines and priority lanes admit its packets
-    one by one.  ``labels`` is parallel to ``packets`` (``None`` labels
+    the lossless single-lane ingress a chunk is one queue entry with one
+    arrival stamp; the dropping policies and priority lanes admit its
+    packets one by one.  ``labels`` is parallel to ``packets`` (``None`` labels
     every packet ``None``).
     """
 

@@ -21,24 +21,24 @@ analogue of a switch pipeline's fixed-depth stage FIFOs:
 Past the ingress queue, packets travel as row blocks: the feature
 matrix plus parallel labels, arrival stamps and lanes.
 
-Backpressure at the ingress queue is a :class:`QueueDiscipline`:
+The ingress is one :class:`~repro.serving.channel.ChunkChannel` whose
+depth counts packets, whatever the drop policy or lanes:
 
 * ``"block"`` — lossless: a full queue stalls the source (replay waits),
   predictions are bit-identical to the synchronous processor.  Without
-  lanes this ingress is a :class:`~repro.serving.channel.ChunkChannel`:
-  a :class:`~repro.serving.clock.PacketChunk` from the source is one
-  queue entry with one arrival stamp, and the depth counts packets,
+  lanes a :class:`~repro.serving.clock.PacketChunk` from the source is
+  admitted whole: one queue entry with one arrival stamp,
 * ``"tail-drop"`` — a full queue drops the arriving packet and counts
   it, emulating the fixed-depth ingress queue of a switch under load,
 * ``"head-drop"`` — a full queue evicts the *oldest* queued packet to
   admit the new one: fresher data wins, the right policy when a stale
   telemetry verdict is worthless by the time it is computed.
 
-With ``priorities`` the ingress becomes a
-:class:`~repro.serving.channel.PriorityChannel`: packets are classified
-into weighted lanes by ``lane_of`` and extraction drains lanes in
-deficit-round-robin order, so high-priority traffic keeps a low
-queueing delay while an overload backlogs the bulk lanes.
+With ``priorities`` the channel has one weighted lane per weight:
+packets are classified by ``lane_of`` and extraction drains the lanes
+in deficit-round-robin order, so high-priority traffic keeps a low
+queueing delay while an overload backlogs the bulk lanes.  Under a
+dropping policy or lanes, a chunk is admitted packet by packet.
 
 Intermediate queues always block: they are host-internal, and dropping
 mid-pipeline would tear batches apart.
@@ -61,12 +61,7 @@ from repro.errors import HomunculusError
 from repro.obs.trace import NULL_TRACER, get_tracer
 from repro.runtime.stream import extract_rows
 from repro.serving.batching import MicroBatcher, RowBlock
-from repro.serving.channel import (
-    SENTINEL,
-    BoundedChannel,
-    ChunkChannel,
-    PriorityChannel,
-)
+from repro.serving.channel import SENTINEL, BoundedChannel, ChunkChannel
 from repro.serving.clock import (
     YIELD_EVERY,
     PacketChunk,
@@ -76,8 +71,15 @@ from repro.serving.clock import (
 )
 from repro.serving.stats import ServingStats
 
-#: Supported ingress backpressure policies (queue disciplines).
-DROP_POLICIES = ("block", "tail-drop", "head-drop")
+
+async def _packets(source) -> AsyncIterator:
+    """Split the :class:`PacketChunk` items of ``source`` into packets."""
+    async for item in source:
+        if isinstance(item, PacketChunk):
+            for pair in zip(item.packets, item.labels):
+                yield pair
+        else:
+            yield item
 
 
 async def _aiter(source) -> AsyncIterator:
@@ -130,13 +132,13 @@ class AsyncStreamEngine:
         when ``priorities`` is set).  The ingress counts packets, also
         when the source yields :class:`PacketChunk` items.
     drop_policy:
-        ingress :class:`~repro.serving.channel.QueueDiscipline` when the
-        queue is full (see module docstring).
+        one of :data:`~repro.serving.channel.DROP_POLICIES`, applied
+        when the ingress is full (see module docstring).
     infer_workers:
         executor threads / maximum inference batches in flight.
     priorities:
-        optional lane weights, e.g. ``(4, 1)`` — the ingress becomes a
-        deficit-round-robin :class:`PriorityChannel` and ``lane_of``
+        optional lane weights, e.g. ``(4, 1)`` — the ingress gets one
+        lane per weight, drained by deficit round robin, and ``lane_of``
         classifies packets into lanes.  A weight of 0 marks a scavenger
         lane served only when every weighted lane is empty.
     lane_of:
@@ -176,10 +178,6 @@ class AsyncStreamEngine:
             raise HomunculusError("extractor must expose extract()")
         if queue_depth < 1:
             raise HomunculusError("queue_depth must be >= 1")
-        if drop_policy not in DROP_POLICIES:
-            raise HomunculusError(
-                f"drop_policy must be one of {DROP_POLICIES}, got {drop_policy!r}"
-            )
         if infer_workers < 1:
             raise HomunculusError("infer_workers must be >= 1")
         if extract_quantum < 0:
@@ -204,9 +202,7 @@ class AsyncStreamEngine:
         self.priorities = tuple(int(w) for w in priorities) if priorities else None
         self.lane_of = lane_of
         self.extract_quantum = int(extract_quantum)
-        if self.priorities is not None:
-            # Validate eagerly (PriorityChannel re-checks at run()).
-            PriorityChannel(self.queue_depth, self.priorities)
+        self._make_ingress()  # validates the policy and lane weights
         if capture is not None and not hasattr(capture, "observe_batch"):
             raise HomunculusError("capture must expose observe_batch()")
         self.capture = capture
@@ -289,76 +285,28 @@ class AsyncStreamEngine:
             await asyncio.sleep(0)
 
     # -- stages ----------------------------------------------------------
-    def _make_ingress(self):
-        if self.priorities is not None:
-            return PriorityChannel(
-                self.queue_depth, self.priorities, discipline=self.drop_policy
-            )
-        if self.drop_policy == "block":
-            return ChunkChannel(self.queue_depth)
-        return BoundedChannel(self.queue_depth, discipline=self.drop_policy)
+    def _make_ingress(self) -> ChunkChannel:
+        return ChunkChannel(self.queue_depth, self.priorities or (1,),
+                            self.drop_policy)
 
-    async def _ingest_chunks(self, source, q_in: ChunkChannel) -> None:
-        """Admit whole chunks at the lossless FIFO ingress.
+    async def _ingest(self, source, q_in: ChunkChannel) -> None:
+        """Admit source items at the ingress, under the drop policy.
 
-        One queue entry, one arrival stamp and one counter update per
-        source item: a :class:`PacketChunk` is admitted whole, a single
-        ``Packet`` or ``(packet, label)`` item as one packet.  The
-        ingress depth counts packets, so a chunk that does not fit waits
-        (an oversized one until the queue is empty).  Once the queue is
-        half full the ingest yields so the draining stages get the CPU.
+        A :class:`PacketChunk` is one queue entry with one arrival stamp
+        when the policy is ``block`` without lanes: the ingress depth
+        counts packets, so a chunk that does not fit waits (an oversized
+        one until the queue is empty).  Otherwise a chunk is split and
+        each packet is classified, stamped and offered on its own.
 
-        ``stats.enqueued`` and ``stats.in_flight`` advance by the chunk
-        length, so ``enqueued == packets + dropped + in_flight`` holds
-        in every snapshot.
-        """
-        stats = self.stats
-        now = self.clock.now
-        half = max(1, self.queue_depth // 2)
-        arrived = 0
-        if not hasattr(source, "__aiter__"):
-            source = _aiter(source)
-        async for item in source:
-            if isinstance(item, tuple):
-                n = 1
-                entry = (item[0], item[1], now())
-            elif isinstance(item, PacketChunk):
-                n = len(item.packets)
-                if n > 1:
-                    entry = (item, None, now())
-                elif n:  # a single packet: see _chunk_block
-                    entry = (item.packets[0], item.labels[0], now())
-                else:
-                    continue
-            else:
-                n = 1
-                entry = (item, None, now())
-            stats.enqueued += n
-            stats.in_flight += n
-            try:
-                q_in.put_nowait(entry, n)
-            except asyncio.QueueFull:
-                await q_in.put(entry, n)
-            arrived += n
-            if arrived % 32 < n:  # crossed a multiple of 32 packets
-                stats.observe_queue("ingress", q_in.qsize(), t=now())
-            if q_in.qsize() >= half:
-                await asyncio.sleep(0)
-        await q_in.aclose()
-
-    async def _ingest(self, source, q_in) -> None:
-        """Admit packets one by one under the drop policy or lanes.
-
-        ``offer`` (the discipline's non-blocking admit) is the fast path
-        in every policy; a blocking engine falls back to an awaited put
-        when the queue is full, and tail-drop retries once after a yield
-        so its drop counts reflect genuine pipeline overload rather than
-        cooperative-scheduling artifacts of the source.  Scheduling
-        fairness is driven by queue *occupancy*, not source stride: once
-        the ingress queue is half full the ingest yields so the draining
-        stages get the CPU before anything overflows.  A
-        :class:`PacketChunk` item is split into its packets, each
-        admitted (and stamped) on its own.
+        A whole item goes in by ``put_nowait``, or an awaited ``put``
+        when it does not fit.  A split packet goes in by ``offer`` (the
+        drop policy's non-blocking admit); a blocking engine falls back
+        to an awaited put when the lane is full, and tail-drop retries
+        once after a yield so its drop counts reflect genuine pipeline
+        overload rather than cooperative-scheduling artifacts of the
+        source.  Scheduling fairness is driven by queue *occupancy*, not
+        source stride: once the ingress is half full the ingest yields so
+        the draining stages get the CPU before anything overflows.
 
         Every arrival increments ``stats.enqueued`` — admitted or not —
         and ``stats.in_flight`` until it is recorded or dropped, so
@@ -366,137 +314,113 @@ class AsyncStreamEngine:
         snapshot and ``enqueued == packets + dropped`` once a run drains.
         """
         stats = self.stats
-        blocking = self.drop_policy == "block"
         now = self.clock.now
         half = max(1, self.queue_depth // 2)
         lanes = self.priorities is not None
+        blocking = self.drop_policy == "block"
+        whole = blocking and not lanes
         lane_of = self.lane_of
         arrived = 0
         if not hasattr(source, "__aiter__"):
             source = _aiter(source)
+        if not whole:
+            source = _packets(source)
         async for item in source:
-            if isinstance(item, PacketChunk):
-                pairs = zip(item.packets, item.labels)
-            elif isinstance(item, tuple):
-                pairs = (item,)
-            else:
-                pairs = ((item, None),)
-            for packet, label in pairs:
-                lane = int(lane_of(packet)) if (lanes and lane_of is not None) else 0
-                entry = (packet, label, now(), lane)
-                stats.enqueued += 1
-                stats.in_flight += 1
-                if lanes:
-                    admitted, displaced = q_in.offer(entry, lane)
+            if isinstance(item, tuple):
+                head, label = item
+                n = 1
+            elif isinstance(item, PacketChunk):  # only when admitted whole
+                n = len(item.packets)
+                if n > 1:
+                    head, label = item, None
+                elif n:
+                    head, label = item.packets[0], item.labels[0]
                 else:
-                    admitted, displaced = q_in.offer(entry)
+                    continue
+            else:
+                head, label, n = item, None, 1
+            lane = int(lane_of(head)) if lane_of is not None else 0
+            entry = (head, label, now(), lane)
+            stats.enqueued += n
+            stats.in_flight += n
+            if whole:
+                try:
+                    q_in.put_nowait(entry, n)
+                except asyncio.QueueFull:
+                    await q_in.put(entry, n)
+            else:
+                admitted, displaced = q_in.offer(entry, lane)
                 if not admitted:
-                    if blocking:  # block + lanes (FIFO block takes chunks)
-                        await q_in.put(entry, lane)
+                    if blocking:
+                        await q_in.put(entry, 1, lane)
                     else:  # tail-drop: give the drain stages one chance
                         await asyncio.sleep(0)
-                        if lanes:
-                            admitted, displaced = q_in.offer(entry, lane)
-                        else:
-                            admitted, displaced = q_in.offer(entry)
+                        admitted, displaced = q_in.offer(entry, lane)
                         if not admitted:
                             stats.drop("ingress", lane=lane if lanes else None)
                             continue
                 if displaced is not None:
                     # head-drop evicted the oldest queued entry.
                     stats.drop("ingress", lane=displaced[3] if lanes else None)
-                arrived += 1
-                if arrived % 32 == 0:
-                    stats.observe_queue("ingress", q_in.qsize(), t=now())
-                    if lanes:
-                        for index, depth in enumerate(q_in.lane_sizes()):
-                            stats.observe_queue(f"lane{index}", depth, t=now())
-                if q_in.qsize() >= half:
-                    await asyncio.sleep(0)
+            arrived += n
+            if arrived % 32 < n:  # crossed a multiple of 32 packets
+                stats.observe_queue("ingress", q_in.qsize(), t=now())
+                if lanes:
+                    for index, depth in enumerate(q_in.lane_sizes()):
+                        stats.observe_queue(f"lane{index}", depth, t=now())
+            if q_in.qsize() >= half:
+                await asyncio.sleep(0)
         await q_in.aclose()
 
-    def _chunk_block(self, entries: list, packets: int) -> RowBlock:
-        """One :class:`RowBlock` from drained chunk-ingress entries.
+    def _row_block(self, entries: list, packets: int) -> RowBlock:
+        """One :class:`RowBlock` from drained ingress entries.
 
-        An entry is ``(chunk, None, stamp)`` for a chunk of two or more
-        packets, else ``(packet, label, stamp)``; every packet of a chunk
-        gets the chunk's stamp.  ``packets`` counts the packets in
+        An entry is ``(head, label, stamp, lane)``: ``head`` is one
+        packet, or a :class:`PacketChunk` of two or more that carries its
+        own labels, and every packet of a chunk gets the chunk's stamp.
+        Chunks are admitted whole only on a single-lane ingress, so their
+        packets are all in lane 0.  ``packets`` counts the packets in
         ``entries``, so it equals ``len(entries)`` exactly when no entry
         is a chunk.
         """
+        heads, labels, stamps, lanes = zip(*entries)
+        lanes = (np.array(lanes) if self.priorities
+                 else np.zeros(packets, dtype=int))
         if packets == len(entries):
-            heads, labels, stamps = zip(*entries)
             return RowBlock(extract_rows(self.extractor, heads), list(labels),
-                            np.array(stamps, dtype=float),
-                            np.zeros(packets, dtype=int))
-        heads = []
-        labels = []
+                            np.array(stamps, dtype=float), lanes)
+        flat_packets = []
+        flat_labels = []
         counts = []
-        for head, label, _ in entries:
+        for head, label in zip(heads, labels):
             if isinstance(head, PacketChunk):
-                heads.extend(head.packets)
-                labels.extend(head.labels)
+                flat_packets.extend(head.packets)
+                flat_labels.extend(head.labels)
                 counts.append(len(head.packets))
             else:
-                heads.append(head)
-                labels.append(label)
+                flat_packets.append(head)
+                flat_labels.append(label)
                 counts.append(1)
-        stamps = np.repeat([entry[2] for entry in entries], counts)
-        return RowBlock(extract_rows(self.extractor, heads), labels, stamps,
-                        np.zeros(packets, dtype=int))
+        return RowBlock(extract_rows(self.extractor, flat_packets), flat_labels,
+                        np.repeat(stamps, counts), lanes)
 
-    def _packet_block(self, entries: list) -> RowBlock:
-        """One :class:`RowBlock` from drained per-packet entries."""
-        packets, labels, stamps, lanes = zip(*entries)
-        return RowBlock(extract_rows(self.extractor, packets), list(labels),
-                        np.array(stamps, dtype=float), np.array(lanes))
-
-    async def _extract(self, q_in, q_rows: BoundedChannel) -> None:
+    async def _extract(self, q_in: ChunkChannel, q_rows: BoundedChannel) -> None:
         """Stateful feature extraction in queue-service order.
 
-        Drains the ingress queue greedily and forwards one
-        :class:`RowBlock` per drain (the descriptor-ring idiom), built
-        by one :func:`extract_rows` call: queue traffic scales with
-        bursts, not packets, which keeps the async overhead per packet
-        far below the extraction work itself.  With a
-        :class:`PriorityChannel` ingress the service order *is* the DRR
-        order, so high-priority lanes are extracted first under backlog.
+        Drains the ingress greedily and forwards one :class:`RowBlock`
+        per drain (the descriptor-ring idiom), built by one
+        :func:`extract_rows` call: queue traffic scales with bursts, not
+        packets, which keeps the async overhead per packet far below the
+        extraction work itself.  With lanes the service order *is* the
+        DRR order, so high-priority lanes are extracted first under
+        backlog.
 
         ``extract_quantum`` bounds how many packets one wakeup may
         process before yielding the event loop — the router's
         deficit-round-robin knob for splitting extraction CPU between
-        routes by weight.  On the chunked ingress a wakeup stops at the
-        first chunk that reaches the quantum.
+        routes by weight.  A wakeup stops at the first entry that
+        reaches the quantum.
         """
-        if isinstance(q_in, ChunkChannel):
-            return await self._extract_chunks(q_in, q_rows)
-        quantum = self.extract_quantum
-        while True:
-            item = await q_in.get()
-            entries: list = []
-            done = False
-            while True:
-                if item is SENTINEL:
-                    done = True
-                    break
-                entries.append(item)
-                if quantum and len(entries) >= quantum:
-                    break
-                try:
-                    item = q_in.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-            if entries:
-                await q_rows.put(self._packet_block(entries))
-            if done:
-                await q_rows.put(SENTINEL)
-                return
-            if quantum:
-                await asyncio.sleep(0)  # end of this engine's DRR round
-
-    async def _extract_chunks(self, q_in: ChunkChannel,
-                              q_rows: BoundedChannel) -> None:
-        """:meth:`_extract` over the chunked ingress: one pop per drain."""
         quantum = self.extract_quantum
         while True:
             entries, packets = await q_in.get_many(quantum)
@@ -504,7 +428,7 @@ class AsyncStreamEngine:
             if done:
                 entries.pop()
             if entries:
-                await q_rows.put(self._chunk_block(entries, packets))
+                await q_rows.put(self._row_block(entries, packets))
             if done:
                 await q_rows.put(SENTINEL)
                 return
@@ -603,8 +527,6 @@ class AsyncStreamEngine:
         stage task and the inference executor without leaking tasks.
         """
         q_in = self._make_ingress()
-        ingest = (self._ingest_chunks if isinstance(q_in, ChunkChannel)
-                  else self._ingest)
         q_rows = BoundedChannel(self.queue_depth)
         q_batches = BoundedChannel(
             max(1, self.queue_depth // self.batcher.batch_size)
@@ -621,7 +543,7 @@ class AsyncStreamEngine:
             thread_name_prefix="serving-infer",
         )
         tasks = [
-            asyncio.create_task(ingest(source, q_in), name="serving-ingest"),
+            asyncio.create_task(self._ingest(source, q_in), name="serving-ingest"),
             asyncio.create_task(self._extract(q_in, q_rows), name="serving-extract"),
             asyncio.create_task(
                 self.batcher.run(q_rows, q_batches), name="serving-batch"
@@ -658,7 +580,7 @@ class AsyncStreamEngine:
         ``speed`` and returns the in-order predictions.  Unpaced
         (``speed=0``) the packets go in as :class:`PacketChunk` items of
         ``min(batch_size, queue_depth)`` packets, one queue operation
-        per chunk on the lossless FIFO ingress.
+        per chunk on the lossless single-lane ingress.
         """
         labels = list(labels) if labels is not None else None
         if speed:

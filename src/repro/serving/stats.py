@@ -117,14 +117,10 @@ class RingSeries:
     def mean(self) -> float:
         return self._sum / self._samples if self._samples else 0.0
 
-    # Gauge-compatible aliases (the summary() keys predate the ring).
+    # Gauge-compatible alias (the summary() keys predate the ring).
     @property
     def max_depth(self) -> float:
         return self.max
-
-    @property
-    def mean_depth(self) -> float:
-        return self.mean
 
     def samples(self) -> "tuple[np.ndarray, np.ndarray]":
         """Ring contents in chronological order as ``(times, values)``."""

@@ -82,7 +82,6 @@ class TestFlow:
         flow = Flow([make_packet()])
         assert flow.duration == 0.0
         assert flow.inter_arrival_times.size == 0
-        assert flow.mean_ipt == 0.0
 
     def test_total_bytes_and_mean_size(self):
         flow = Flow([make_packet(size=100), make_packet(ts=1.0, size=300)])

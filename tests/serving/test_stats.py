@@ -42,7 +42,7 @@ class TestRingSeries:
         s.observe(4)
         s.observe(2)
         assert s.max_depth == s.max == 4
-        assert s.mean_depth == s.mean == 3.0
+        assert s.mean == 3.0
 
 
 class TestRingSeriesBatch:
