@@ -7,25 +7,14 @@ Paper's claims to reproduce (shape, not absolute numbers):
   * Hom-BD beats its baseline with a *smaller* parameter count.
 """
 
-import pytest
-
-from repro.eval.experiments import format_table2, run_table2
-
-BUDGET = 12
-SEED = 0
+from repro.eval.experiments import format_table2
 
 
-@pytest.fixture(scope="module")
-def table2_rows():
-    return run_table2(budget=BUDGET, seed=SEED, quick=True)
-
-
-def test_table2(benchmark, table2_rows, record_result):
+def test_table2(benchmark, table2_rows, table2_config, record_result):
     rows = benchmark.pedantic(
         lambda: table2_rows, rounds=1, iterations=1
     )
-    record_result("table2", format_table2(rows),
-                  config={"budget": BUDGET, "seed": SEED, "quick": True},
+    record_result("table2", format_table2(rows), config=table2_config,
                   metrics={"rows": rows})
     by_key = {(r["app"], r["variant"]): r for r in rows}
     for app in ("ad", "tc", "bd"):

@@ -7,24 +7,13 @@ Paper's claims to reproduce:
     Hom-BD draws less than Base-BD (smaller parameter count).
 """
 
-import pytest
-
-from repro.eval.experiments import format_table5, run_table2, run_table5
-
-BUDGET = 12
-SEED = 0
+from repro.eval.experiments import format_table5, run_table5
 
 
-@pytest.fixture(scope="module")
-def table5_rows():
-    table2_rows = run_table2(budget=BUDGET, seed=SEED, quick=True)
-    return run_table5(table2_rows=table2_rows, seed=SEED, quick=True)
-
-
-def test_table5(benchmark, table5_rows, record_result):
-    rows = benchmark.pedantic(lambda: table5_rows, rounds=1, iterations=1)
-    record_result("table5", format_table5(rows),
-                  config={"budget": BUDGET, "seed": SEED, "quick": True},
+def test_table5(benchmark, table2_rows, table2_config, record_result):
+    rows = benchmark.pedantic(lambda: run_table5(table2_rows=table2_rows),
+                              rounds=1, iterations=1)
+    record_result("table5", format_table5(rows), config=table2_config,
                   metrics={"rows": rows})
     by_app = {row["application"]: row for row in rows}
     shell = by_app["Loopback"]

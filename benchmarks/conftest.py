@@ -104,3 +104,17 @@ def record_result(results_dir):
               f"summary {json_path})")
 
     return write
+
+
+@pytest.fixture(scope="session")
+def table2_config() -> dict:
+    """Table 2's committed quick run (Table 5 reads the same rows)."""
+    return {"budget": 12, "seed": 0, "quick": True}
+
+
+@pytest.fixture(scope="session")
+def table2_rows(table2_config) -> list:
+    """Table 2's rows, computed once per session for Tables 2 and 5."""
+    from repro.eval.experiments import run_table2
+
+    return run_table2(**table2_config)

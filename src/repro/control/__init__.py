@@ -33,7 +33,6 @@ from repro.control.controller import (
 from repro.control.server import ControlServer, serve_fleet
 from repro.control.telemetry import (
     RegressionGate,
-    WorkerSnapshot,
     window_metrics,
     window_percentile,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "FleetController",
     "FleetWorker",
     "RegressionGate",
-    "WorkerSnapshot",
     "serve_fleet",
     "start_workers",
     "stop_workers",

@@ -20,7 +20,7 @@ so there is no need for the histogram's log-binned approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,14 +149,3 @@ class RegressionGate:
                   for key, value in doc.items()}
         return RegressionGate(**kwargs)
 
-
-@dataclass
-class WorkerSnapshot:
-    """One worker's telemetry state at an instant (the pre-swap anchor)."""
-
-    t: float
-    counters: dict = field(default_factory=dict)
-
-    @staticmethod
-    def capture(stats, t: float) -> "WorkerSnapshot":
-        return WorkerSnapshot(t=float(t), counters=stats.counters())

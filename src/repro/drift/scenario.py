@@ -210,7 +210,7 @@ async def shifting_traffic(
     """
     if rate <= 0:
         raise AdaptationError(f"rate must be > 0, got {rate}")
-    chunk = max(1, int(rate // 100) or 1)
+    chunk = max(1, int(rate // 100))
     pause = chunk / rate
     loop = asyncio.get_running_loop()
     started = loop.time()
@@ -218,6 +218,9 @@ async def shifting_traffic(
     shifted = False
     current = pre
     rng = None if mix_seed is None else np.random.default_rng(mix_seed)
+    # Counted across laps and the switch: a phase shorter than one chunk
+    # must still sleep, or the generator would never yield to ``stop``.
+    sent = 0
     while not stop.is_set():
         packets, labels = current
         if not packets:
@@ -232,7 +235,6 @@ async def shifting_traffic(
             labels = [labels[i] for i in order]
         base = packets[0].timestamp
         last = base
-        sent = 0
         for packet, label in zip(packets, labels):
             if stop.is_set():
                 return

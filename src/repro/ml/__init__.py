@@ -19,7 +19,6 @@ from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.kmeans import KMeans
 from repro.ml.metrics import (
     accuracy_score,
-    confusion_matrix,
     f1_score,
     precision_score,
     recall_score,
@@ -49,7 +48,6 @@ __all__ = [
     "recall_score",
     "f1_score",
     "v_measure_score",
-    "confusion_matrix",
     "StandardScaler",
     "MinMaxScaler",
     "OneHotEncoder",

@@ -21,7 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.ml.optimizers import Optimizer, flatten, get_optimizer
+from repro.ml.losses import MeanSquaredError
+from repro.ml.network import NeuralNetwork, check_training_data, train_epochs
+from repro.ml.optimizers import get_optimizer
 from repro.rng import as_generator
 
 #: Binary multiply-accumulates packed per CU MAC lane (XNOR + popcount).
@@ -36,9 +38,10 @@ def binarize(weights: np.ndarray) -> np.ndarray:
 class BinaryDense:
     """A fully connected layer with ±1 weights and optional ±1 activations.
 
-    The layer trains *latent* float weights; forward always uses their
-    sign.  ``binarize_output=False`` keeps real pre-activations (used for
-    the final logit layer).
+    The layer holds *latent* float weights; forward always uses their
+    sign, and :meth:`BinarizedNetwork.fit` trains and clamps them.
+    ``binarize_output=False`` keeps real pre-activations (used for the
+    final logit layer).
     """
 
     def __init__(
@@ -99,12 +102,6 @@ class BinaryDense:
         np.add.reduce(grad_pre, axis=0, out=self._grad_b)
         return grad_pre @ self.binary_weights.T
 
-    def apply_update(self, optimizer: Optimizer, key: str) -> None:
-        """Step this layer alone (``fit`` steps the whole network at once)."""
-        optimizer.update(f"{key}.w", self.latent_weights, self._grad_w)
-        optimizer.update(f"{key}.b", self.bias, self._grad_b)
-        np.clip(self.latent_weights, -1.0, 1.0, out=self.latent_weights)
-
 
 class BinarizedNetwork:
     """A stack of :class:`BinaryDense` layers (real-valued logit head).
@@ -150,18 +147,7 @@ class BinarizedNetwork:
     def n_params(self) -> int:
         return sum(layer.n_params for layer in self.layers)
 
-    @property
-    def weight_bits(self) -> int:
-        """Stored weight payload in bits (1 per weight — the N2Net win)."""
-        return sum(int(layer.latent_weights.size) for layer in self.layers)
-
-    def forward(self, X: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.asarray(X, dtype=float)
-        if out.ndim == 1:
-            out = out.reshape(1, -1)
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
+    forward = NeuralNetwork.forward
 
     def fit(
         self,
@@ -175,49 +161,16 @@ class BinarizedNetwork:
         """Mini-batch training with the straight-through estimator.
 
         Binary/multi-class targets use the same squared-error-on-logits
-        objective N2Net-style trainers favour (stable under STE noise).
-        Returns the per-epoch loss curve.
+        objective N2Net-style trainers favour (stable under STE noise),
+        with {0, 1} targets mapped onto ±1.  Runs :func:`train_epochs`
+        with the latent weights clamped to [-1, 1] after every step;
+        returns the per-epoch loss curve.
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y.reshape(-1, 1)
-        if X.shape[0] != y.shape[0]:
-            raise TrainingError("X and y disagree on sample count")
-        if y.shape[1] != self.layer_dims[-1]:
-            raise TrainingError(
-                f"targets have dim {y.shape[1]} but network outputs "
-                f"{self.layer_dims[-1]}"
-            )
-        # Map {0,1} targets onto the ±1 logit scale.
+        X, y = check_training_data(X, y, self.layer_dims[-1], epochs, batch_size)
         targets = np.where(y > 0, 1.0, -1.0)
         opt = get_optimizer(optimizer, learning_rate)
-        params, grads = flatten(
-            [(layer, attr, grad) for layer in self.layers
-             for attr, grad in (("latent_weights", "_grad_w"), ("bias", "_grad_b"))]
-        )
-        losses = []
-        n = X.shape[0]
-        for _ in range(int(epochs)):
-            order = self._rng.permutation(n)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, int(batch_size)):
-                idx = order[start : start + int(batch_size)]
-                xb, tb = X[idx], targets[idx]
-                logits = self.forward(xb, training=True)
-                diff = logits - tb
-                epoch_loss += float(np.add.reduce(diff**2, axis=None) / diff.size)
-                batches += 1
-                grad = 2.0 * diff / tb.size
-                for layer in reversed(self.layers):
-                    grad = layer.backward(grad)
-                opt.update("params", params, grads)
-                for layer in self.layers:
-                    weights = layer.latent_weights
-                    np.minimum(np.maximum(weights, -1.0, out=weights), 1.0, out=weights)
-            losses.append(epoch_loss / max(batches, 1))
-        return losses
+        return list(train_epochs(self, "latent_weights", X, targets, epochs,
+                                 batch_size, opt, MeanSquaredError(), clamp=True))
 
     def predict(self, X) -> np.ndarray:
         logits = self.forward(X, training=False)

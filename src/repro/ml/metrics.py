@@ -31,18 +31,6 @@ def accuracy_score(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def confusion_matrix(y_true, y_pred, n_classes: int | None = None) -> np.ndarray:
-    """Return ``C[i, j]`` = number of samples with true class i predicted as j."""
-    y_true, y_pred = _validate_pair(y_true, y_pred)
-    labels = np.unique(np.concatenate([y_true, y_pred]))
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1 if labels.size else 0
-    matrix = np.zeros((n_classes, n_classes), dtype=int)
-    for t, p in zip(y_true.astype(int), y_pred.astype(int)):
-        matrix[t, p] += 1
-    return matrix
-
-
 def _binary_counts(y_true, y_pred, positive: int) -> tuple[int, int, int]:
     tp = int(np.sum((y_pred == positive) & (y_true == positive)))
     fp = int(np.sum((y_pred == positive) & (y_true != positive)))

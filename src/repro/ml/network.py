@@ -32,6 +32,67 @@ class TrainHistory:
         return len(self.loss)
 
 
+def check_training_data(X, y, out_dim: int, epochs: int,
+                        batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as float arrays with 2-D targets, or a ``TrainingError``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        y = y.reshape(-1, 1)
+    if X.shape[0] != y.shape[0]:
+        raise TrainingError(
+            f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}"
+        )
+    if X.shape[0] == 0:
+        raise TrainingError("cannot train on an empty dataset")
+    if epochs < 1 or batch_size < 1:
+        raise TrainingError("epochs and batch_size must be >= 1")
+    if y.shape[1] != out_dim:
+        raise TrainingError(
+            f"targets have dim {y.shape[1]} but network outputs {out_dim}"
+        )
+    return X, y
+
+
+def train_epochs(net, weights: str, X: np.ndarray, y: np.ndarray, epochs: int,
+                 batch_size: int, opt: Optimizer, loss_fn: Loss,
+                 clamp: bool = False):
+    """Train ``net`` by mini-batch descent; yield each epoch's mean loss.
+
+    First copies the ``weights`` attribute and bias of every trainable
+    layer of ``net`` (those with a weight gradient) into one vector
+    (:func:`~repro.ml.optimizers.flatten`; the layers keep views into
+    it).  Each epoch shuffles the rows with the network's own RNG; each
+    batch runs a training forward pass, the loss's value and gradient,
+    every layer's backward pass and one optimizer step over all weights
+    and biases.  ``clamp`` keeps the
+    weights in [-1, 1] after every step (a BNN's latent weights).
+    """
+    layers = [layer for layer in net.layers if hasattr(layer, "_grad_w")]
+    params, grads = flatten(
+        [(layer, attr, grad) for layer in layers
+         for attr, grad in ((weights, "_grad_w"), ("bias", "_grad_b"))]
+    )
+    bounded = [getattr(layer, weights) for layer in layers] if clamp else []
+    n = X.shape[0]
+    for _ in range(epochs):
+        order = net._rng.permutation(n)
+        total = 0.0
+        batches = 0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            pred = net.forward(X[idx], training=True)
+            value, grad = loss_fn.value_and_gradient(y[idx], pred)
+            total += value
+            batches += 1
+            for layer in reversed(net.layers):
+                grad = layer.backward(grad)
+            opt.update("params", params, grads)
+            for w in bounded:
+                np.minimum(np.maximum(w, -1.0, out=w), 1.0, out=w)
+        yield total / max(batches, 1)
+
+
 class NeuralNetwork:
     """A sequential stack of :class:`~repro.ml.layers.Dense` layers.
 
@@ -124,61 +185,24 @@ class NeuralNetwork:
         batch_size: int = 32,
         learning_rate: float = 0.01,
         optimizer: "str | Optimizer" = "adam",
-        loss: "str | Loss | None" = None,
         validation_data: "tuple | None" = None,
         patience: int | None = None,
-        verbose: bool = False,
     ) -> TrainHistory:
-        """Mini-batch gradient-descent training loop.
+        """Mini-batch gradient descent (:func:`train_epochs`).
 
-        ``patience`` enables early stopping on validation loss (or training
-        loss when no validation data is given).  Each mini-batch is one
-        optimizer step over every weight and bias at once: ``fit`` first
-        copies them into one vector (:func:`~repro.ml.optimizers.flatten`),
-        and the layers' arrays stay views into it afterwards.
+        The output activation picks the loss (``sigmoid`` → BCE,
+        ``softmax`` → CCE, otherwise MSE).  ``patience`` enables early
+        stopping on validation loss (or training loss when no validation
+        data is given).
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y.reshape(-1, 1)
-        if X.shape[0] != y.shape[0]:
-            raise TrainingError(
-                f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}"
-            )
-        if X.shape[0] == 0:
-            raise TrainingError("cannot train on an empty dataset")
-        if epochs < 1 or batch_size < 1:
-            raise TrainingError("epochs and batch_size must be >= 1")
-        out_dim = self.layer_dims[-1]
-        if y.shape[1] != out_dim:
-            raise TrainingError(
-                f"targets have dim {y.shape[1]} but network outputs {out_dim}"
-            )
+        X, y = check_training_data(X, y, self.layer_dims[-1], epochs, batch_size)
         opt = get_optimizer(optimizer, learning_rate)
-        params, grads = flatten(
-            [(layer, attr, grad) for layer in self.dense_layers
-             for attr, grad in (("weights", "_grad_w"), ("bias", "_grad_b"))]
-        )
-        loss_fn = get_loss(loss if loss is not None else self._default_loss())
+        loss_fn = get_loss(self._default_loss())
         self.history = TrainHistory()
         best = np.inf
         since_best = 0
-        n = X.shape[0]
-        for epoch in range(epochs):
-            order = self._rng.permutation(n)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                xb, yb = X[idx], y[idx]
-                pred = self.forward(xb, training=True)
-                value, grad = loss_fn.value_and_gradient(yb, pred)
-                epoch_loss += value
-                batches += 1
-                for layer in reversed(self.layers):
-                    grad = layer.backward(grad)
-                opt.update("params", params, grads)
-            epoch_loss /= max(batches, 1)
+        for epoch_loss in train_epochs(self, "weights", X, y, epochs, batch_size,
+                                       opt, loss_fn):
             self.history.loss.append(epoch_loss)
             monitored = epoch_loss
             if validation_data is not None:
@@ -189,8 +213,6 @@ class NeuralNetwork:
                 val = loss_fn.value(yv, self.forward(np.asarray(xv, dtype=float)))
                 self.history.val_loss.append(val)
                 monitored = val
-            if verbose:  # pragma: no cover - console aid
-                print(f"epoch {epoch + 1}/{epochs}: loss={monitored:.4f}")
             if patience is not None:
                 if monitored < best - 1e-9:
                     best = monitored

@@ -79,8 +79,3 @@ def quantization_error_bound(fmt: FixedPointFormat = DEFAULT_FORMAT) -> float:
     """Worst-case rounding error for in-range values (half an LSB)."""
     return fmt.scale / 2.0
 
-
-def quantize_network_weights(network, fmt: FixedPointFormat = DEFAULT_FORMAT) -> None:
-    """Snap a :class:`~repro.ml.network.NeuralNetwork`'s weights to ``fmt`` in place."""
-    weights = [(quantize(w, fmt), quantize(b, fmt)) for w, b in network.get_weights()]
-    network.set_weights(weights)

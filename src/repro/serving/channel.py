@@ -260,12 +260,7 @@ class ChunkChannel:
             finally:
                 if self._putter is waiter:
                     self._putter = None
-        # Lane 0 keeps the two-argument call of a single-lane producer,
-        # the form the chunked-ingress tests intercept.
-        if lane:
-            self.put_nowait(item, size, lane)
-        else:
-            self.put_nowait(item, size)
+        self.put_nowait(item, size, lane)
 
     def _next_lane(self) -> "int | None":
         """The lane deficit round robin serves next (``None``: all empty)."""

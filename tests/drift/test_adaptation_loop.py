@@ -27,6 +27,7 @@ from repro.drift.scenario import (
 )
 from repro.errors import AdaptationError
 from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
+from repro.netsim.packet import Packet
 from repro.runtime import PacketFeatureExtractor
 from repro.serving import AsyncStreamEngine
 
@@ -201,6 +202,29 @@ class TestChaosRetrain:
         assert "adapt-1" not in controller.pipelines
         assert worker.version == "v0"
         assert engine.pipeline is v0
+
+
+def test_shifting_traffic_paces_a_phase_shorter_than_a_chunk():
+    # 5-packet phases at 2,000 pkt/s (chunks of 20): the pacing count
+    # must carry across laps and the switch, or no lap ever sleeps.
+    phase = ([Packet(float(i), 100, 1, 2, 3, 4) for i in range(5)], [0] * 5)
+    rate, cap = 2000.0, 20_000
+
+    async def count():
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        loop.call_later(0.25, stop.set)
+        started = loop.time()
+        sent = 0
+        async for _ in shifting_traffic(stop, phase, phase, rate=rate,
+                                        shift_after_s=0.1):
+            sent += 1
+            if sent >= cap:  # an unpaced generator never sees ``stop``
+                break
+        return sent, loop.time() - started
+
+    sent, elapsed = asyncio.run(count())
+    assert sent <= 2 * rate * elapsed
 
 
 class TestLoopValidation:

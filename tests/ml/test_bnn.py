@@ -33,13 +33,14 @@ class TestBinaryDense:
         assert set(np.unique(out)) <= {-1.0, 1.0}
 
     def test_latent_weights_clipped(self):
-        from repro.ml.optimizers import SGD
-
-        layer = BinaryDense(2, 2, rng=np.random.default_rng(0))
-        layer.forward(np.ones((4, 2)), training=True)
-        layer.backward(np.full((4, 2), 100.0))
-        layer.apply_update(SGD(learning_rate=10.0), "k")
-        assert np.all(np.abs(layer.latent_weights) <= 1.0)
+        # Steps of lr 10 throw the latent weights far past ±1; fit clamps
+        # them back after every step, so some sit exactly on the bound.
+        X = np.random.default_rng(0).normal(size=(16, 2))
+        bnn = BinarizedNetwork([2, 2, 1], seed=0)
+        bnn.fit(X, X[:, 0] > 0, epochs=2, batch_size=4, learning_rate=10.0,
+                optimizer="sgd")
+        latent = np.concatenate([layer.latent_weights.ravel() for layer in bnn.layers])
+        assert np.abs(latent).max() == 1.0
 
     def test_backward_requires_training_forward(self):
         layer = BinaryDense(2, 2, rng=np.random.default_rng(0))
@@ -65,10 +66,6 @@ class TestBinarizedNetwork:
         bnn = BinarizedNetwork([7, 16, 1], seed=0)
         losses = bnn.fit(Xtr, ytr, epochs=15, learning_rate=0.01)
         assert losses[-1] < losses[0]
-
-    def test_weight_bits(self):
-        bnn = BinarizedNetwork([7, 16, 1], seed=0)
-        assert bnn.weight_bits == 7 * 16 + 16 * 1
 
     def test_deterministic(self, blobs_binary):
         Xtr, ytr, Xte, _ = blobs_binary

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import DatasetError
 from repro.ml.metrics import (
     accuracy_score,
-    confusion_matrix,
     f1_score,
     homogeneity_completeness_v,
     precision_score,
@@ -70,21 +69,6 @@ class TestPrecisionRecallF1:
     def test_unknown_average_raises(self):
         with pytest.raises(DatasetError):
             f1_score([1], [1], average="weighted")
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect(self):
-        cm = confusion_matrix([0, 1, 2], [0, 1, 2])
-        assert np.array_equal(cm, np.eye(3, dtype=int))
-
-    def test_counts(self):
-        cm = confusion_matrix([0, 0, 1], [1, 0, 1])
-        assert cm[0, 1] == 1 and cm[0, 0] == 1 and cm[1, 1] == 1
-
-    def test_total_equals_samples(self):
-        y_true = np.array([0, 1, 1, 2, 2, 2])
-        y_pred = np.array([2, 1, 0, 2, 1, 2])
-        assert confusion_matrix(y_true, y_pred).sum() == 6
 
 
 class TestVMeasure:

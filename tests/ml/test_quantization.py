@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import BackendError
-from repro.ml.network import NeuralNetwork
 from repro.ml.quantization import (
     DEFAULT_FORMAT,
     FixedPointFormat,
     dequantize,
     quantization_error_bound,
     quantize,
-    quantize_network_weights,
     quantize_to_int,
 )
 
@@ -69,21 +67,3 @@ class TestQuantize:
 
     def test_zero_exact(self):
         assert quantize(0.0) == 0.0
-
-
-class TestNetworkQuantization:
-    def test_weights_snap_to_grid(self):
-        net = NeuralNetwork([4, 5, 1], seed=0)
-        quantize_network_weights(net)
-        for w, b in net.get_weights():
-            assert np.allclose(w, quantize(w))
-            assert np.allclose(b, quantize(b))
-
-    def test_predictions_close_after_quantization(self, blobs_binary):
-        Xtr, ytr, Xte, _ = blobs_binary
-        net = NeuralNetwork([7, 8, 1], seed=0)
-        net.fit(Xtr, ytr, epochs=20, learning_rate=0.01)
-        before = net.predict(Xte)
-        quantize_network_weights(net)
-        after = net.predict(Xte)
-        assert float(np.mean(before == after)) > 0.95

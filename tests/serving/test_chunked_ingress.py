@@ -114,8 +114,8 @@ def test_chunked_source_matches_per_item_and_sync(case):
     loads = []
     put_nowait = ChunkChannel.put_nowait
 
-    def spy(channel, item, size):
-        put_nowait(channel, item, size)
+    def spy(channel, item, size, lane=0):
+        put_nowait(channel, item, size, lane)
         if item is not SENTINEL:
             loads.append((channel.qsize(), size))
 
@@ -193,8 +193,8 @@ def test_unpaced_process_shares_one_stamp_per_chunk():
     sizes = []
     put_nowait = ChunkChannel.put_nowait
 
-    def spy(channel, item, size):
-        put_nowait(channel, item, size)
+    def spy(channel, item, size, lane=0):
+        put_nowait(channel, item, size, lane)
         sizes.append(size)
 
     with mock.patch.object(ChunkChannel, "put_nowait", spy):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.bayesopt.space import Categorical, DesignSpace, Integer, Ordinal, Real
 from repro.ml.metrics import (
     accuracy_score,
-    confusion_matrix,
     f1_score,
     precision_score,
     recall_score,
@@ -169,14 +168,6 @@ def test_metric_ranges(y_true, seed):
         assert 0.0 <= metric(y_true, y_pred) <= 1.0
     assert 0.0 <= f1_score(y_true, y_pred, average="macro") <= 1.0
     assert 0.0 <= v_measure_score(y_true, y_pred) <= 1.0 + 1e-9
-
-
-@given(y_true=labels, seed=st.integers(0, 100))
-@settings(max_examples=60, deadline=None)
-def test_confusion_matrix_total(y_true, seed):
-    rng = np.random.default_rng(seed)
-    y_pred = rng.integers(0, 4, len(y_true))
-    assert confusion_matrix(y_true, y_pred).sum() == len(y_true)
 
 
 @given(y_true=labels, seed=st.integers(0, 100))
