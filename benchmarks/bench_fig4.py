@@ -3,20 +3,29 @@
 Paper's claims: initial results are poor, the search stabilizes quickly,
 and later iterations trade off exploitation against exploration (spikes).
 We assert the incumbent improves over the random warmup and that the
-search ends at a strong F1.
+search ends at a strong F1.  The docs' stronger wording, that the
+incumbent strictly improves after the warm-up, is a known failure at
+seed 0 (strict xfail below) until the search beats random sampling.
 """
 
+import functools
+
 import numpy as np
+import pytest
 
 from repro.eval.experiments import format_fig4, run_fig4
 
 WARMUP = 5
 
 
+@functools.lru_cache(maxsize=1)
+def fig4_run() -> dict:
+    """The seed-0 run, computed once per session."""
+    return run_fig4(budget=20, seed=0, quick=True)
+
+
 def test_fig4_regret(benchmark, record_result):
-    result = benchmark.pedantic(
-        lambda: run_fig4(budget=20, seed=0, quick=True), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(fig4_run, rounds=1, iterations=1)
     record_result("fig4", format_fig4(result),
                   config={"budget": 20, "seed": 0, "quick": True},
                   metrics={"f1_scores": result["f1_scores"],
@@ -38,3 +47,13 @@ def test_fig4_regret(benchmark, record_result):
     # sample configs away from the incumbent.
     later = np.array(scores[WARMUP:])
     assert later.std() > 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at seed 0 the incumbent is set at iteration 1 (88.08) and never "
+    "moves; iteration 18's 88.43 is infeasible"))
+def test_fig4_incumbent_strictly_improves_after_warmup():
+    incumbent = fig4_run()["incumbent"]
+    warmup_best = incumbent[WARMUP - 1]
+    assert incumbent[-1] is not None
+    assert warmup_best is None or incumbent[-1] > warmup_best

@@ -18,9 +18,10 @@ the full fabric path end to end on a small pod (8 servers, 2 leaves,
    resource budget (an oversized placement raises
    :class:`~repro.errors.PlacementError` naming the exhausted budget),
    and the traffic matrix rolls up per-boundary oversubscription,
-4. **route** — :func:`~repro.fabric.topology_dispatch` steers replayed
-   packets by ingress tier (same-leaf traffic to the leaf route,
-   cross-leaf to the spine) through the serving router's dispatch mode,
+4. **route** — :func:`~repro.fabric.ingress_tier` assigns each replayed
+   packet the tier that classifies it (same-leaf traffic to the leaf,
+   cross-leaf to the spine); a serving router's dispatch mode steers
+   packets the same way,
 5. **deploy** — :func:`~repro.fabric.deploy_plan` rebuilds each plan
    pipeline bit-identically and rolls it onto a live fleet tier by
    tier through the gated fleet controller: hitless swaps, zero drops.

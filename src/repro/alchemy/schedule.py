@@ -2,8 +2,7 @@
 
 Schedules form a DAG of models "of any depth as long as the resources
 permit" (§3.1.1).  A :class:`ScheduleNode` is either a leaf (one model) or
-a sequential/parallel combinator over children; :meth:`to_dag` flattens it
-into a networkx digraph for analysis.
+a sequential/parallel combinator over children.
 
 Resource accounting note (paper Table 3): chaining *copies of the same
 model* re-uses the already-placed pipeline — "additional logic for
@@ -128,46 +127,6 @@ class ScheduleNode:
                 text = f"({text})"
             parts.append(text)
         return sep.join(parts)
-
-    def to_dag(self):
-        """Flatten into a model-level DAG (edges = data dependencies).
-
-        Returns a :class:`networkx.DiGraph`.
-        """
-        import networkx as nx  # only DAG consumers pay its import time
-
-        graph = nx.DiGraph()
-        counter = [0]
-
-        def add(node: "ScheduleNode") -> tuple[list, list]:
-            """Returns (entry_ids, exit_ids) of the subgraph."""
-            if node.kind == self.LEAF:
-                nid = f"{node.model.name}#{counter[0]}"
-                counter[0] += 1
-                graph.add_node(nid, model=node.model)
-                return [nid], [nid]
-            if node.kind == self.PAR:
-                entries: list = []
-                exits: list = []
-                for child in node.children:
-                    e, x = add(child)
-                    entries.extend(e)
-                    exits.extend(x)
-                return entries, exits
-            # sequential
-            first_entries, prev_exits = add(node.children[0])
-            for child in node.children[1:]:
-                entries, exits = add(child)
-                for u in prev_exits:
-                    for v in entries:
-                        graph.add_edge(u, v)
-                prev_exits = exits
-            return first_entries, prev_exits
-
-        add(self)
-        if not nx.is_directed_acyclic_graph(graph):  # pragma: no cover - by construction
-            raise SpecificationError("schedule produced a cyclic graph")
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScheduleNode({self.describe()})"

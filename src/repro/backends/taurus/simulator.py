@@ -213,22 +213,6 @@ class TaurusSimulator:
             )
         return rows
 
-    def format_stage_report(self) -> str:
-        """Human-readable rendering of :meth:`stage_report`."""
-        header = f"{'Stage':>6}  {'Kind':<18}{'Shape':<10}{'CUs':>5}{'MUs':>5}{'Cycles':>7}"
-        lines = [header, "-" * len(header)]
-        for row in self.stage_report():
-            lines.append(
-                f"{row['stage']:>6}  {row['kind']:<18}{row['shape']:<10}"
-                f"{row['cus']:>5}{row['mus']:>5}{row['cycles']:>7}"
-            )
-        usage = self.resources()
-        lines.append(
-            f"{'total':>6}  {'':<18}{'':<10}{usage['cus']:>5}{usage['mus']:>5}"
-            f"{self.pipeline_cycles():>7}"
-        )
-        return "\n".join(lines)
-
     def performance(self) -> PerformanceEstimate:
         """Latency (ns) and throughput (Gpkt/s) on this grid.
 

@@ -6,8 +6,8 @@ Expected Improvement, and a uniform random initialization phase (§5).  This
 package implements that stack from scratch:
 
 * :mod:`repro.bayesopt.space` — typed parameters and the design space,
-* :mod:`repro.bayesopt.surrogate` — random-forest and Gaussian-process
-  surrogate models,
+* :mod:`repro.bayesopt.surrogate` — the random-forest surrogate and
+  feasibility model,
 * :mod:`repro.bayesopt.acquisition` — EI and probability of feasibility,
 * :mod:`repro.bayesopt.optimizer` — the optimization loop,
 * :mod:`repro.bayesopt.cache` — persistent config-keyed evaluation memo,
@@ -32,10 +32,7 @@ from repro.bayesopt.space import (
     Ordinal,
     Real,
 )
-from repro.bayesopt.surrogate import (
-    GaussianProcessSurrogate,
-    RandomForestSurrogate,
-)
+from repro.bayesopt.surrogate import RandomForestSurrogate
 
 __all__ = [
     "Real",
@@ -44,7 +41,6 @@ __all__ = [
     "Categorical",
     "DesignSpace",
     "RandomForestSurrogate",
-    "GaussianProcessSurrogate",
     "expected_improvement",
     "probability_of_feasibility",
     "BayesianOptimizer",

@@ -21,7 +21,7 @@ import threading
 
 from repro.bayesopt.results import Evaluation
 from repro.errors import DesignSpaceError
-from repro.fsio import atomic_write_json, jsonable
+from repro.fsio import atomic_write_json
 
 #: File format tag and version, checked on load.
 FORMAT = "homunculus-evaluation-cache"
@@ -135,15 +135,7 @@ class EvaluationCache:
         if path is None:
             raise DesignSpaceError("EvaluationCache.save needs a path")
         with self._lock:
-            entries = [
-                {
-                    "config": jsonable(e.config),
-                    "objective": e.objective,
-                    "feasible": e.feasible,
-                    "metrics": jsonable(e.metrics),
-                }
-                for e in self._entries.values()
-            ]
+            entries = [e.to_dict() for e in self._entries.values()]
         doc = {"format": FORMAT, "version": VERSION, "entries": entries}
         return atomic_write_json(path, doc)
 
@@ -158,7 +150,9 @@ class EvaluationCache:
         later entries win over earlier duplicates for the same reason.
         So ``load(a); load(b)`` keeps ``b``'s version of any conflicting
         configuration, regardless of dict ordering or thread timing
-        (the whole merge holds the cache lock).
+        (the whole merge holds the cache lock).  A malformed entry raises
+        :class:`~repro.errors.DesignSpaceError` naming ``path`` and the
+        entry, and merges nothing from the file.
         """
         path = path if path is not None else self.path
         if path is None:
@@ -176,16 +170,13 @@ class EvaluationCache:
             raise DesignSpaceError(
                 f"unsupported evaluation-cache version {doc.get('version')!r}"
             )
-        count = 0
+        entries = doc.get("entries", [])
+        if not isinstance(entries, list):
+            raise DesignSpaceError(f"{path}: entries must be a list")
+        loaded = [Evaluation.from_dict(entry, f"{path}: entries[{i}]")
+                  for i, entry in enumerate(entries)]
         with self._lock:
-            for entry in doc.get("entries", []):
-                evaluation = Evaluation(
-                    config=dict(entry["config"]),
-                    objective=float(entry["objective"]),
-                    feasible=bool(entry["feasible"]),
-                    metrics=dict(entry.get("metrics", {})),
-                )
+            for evaluation in loaded:
                 self._entries[config_key(evaluation.config)] = evaluation
-                count += 1
-        return count
+        return len(loaded)
 

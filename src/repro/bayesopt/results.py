@@ -14,11 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import DesignSpaceError
+from repro.fsio import jsonable
+from repro.wire import Fields
 
 
 @dataclass
 class Evaluation:
-    """One evaluated configuration."""
+    """One evaluated configuration.
+
+    :meth:`to_dict` / :meth:`from_dict` are its one JSON codec, shared by
+    the cache spills and the shard results.
+    """
 
     config: dict
     objective: float
@@ -28,6 +34,31 @@ class Evaluation:
     def __post_init__(self) -> None:
         self.objective = float(self.objective)
         self.feasible = bool(self.feasible)
+
+    def to_dict(self) -> dict:
+        """The JSON form (numpy scalars in ``config``/``metrics`` coerced)."""
+        return {
+            "config": jsonable(self.config),
+            "objective": float(self.objective),
+            "feasible": bool(self.feasible),
+            "metrics": jsonable(self.metrics),
+        }
+
+    @classmethod
+    def from_dict(cls, doc, where: str) -> "Evaluation":
+        """Read :meth:`to_dict`'s form back.
+
+        A malformed ``doc`` raises :class:`~repro.errors.DesignSpaceError`
+        whose message starts with ``where`` and names the bad field.
+        """
+        fields = Fields(doc, where, ("config", "objective", "feasible", "metrics"),
+                        DesignSpaceError)
+        return cls(
+            config=fields.mapping("config"),
+            objective=fields.number("objective"),
+            feasible=fields.boolean("feasible"),
+            metrics=fields.mapping("metrics", {}),
+        )
 
 
 def coerce_evaluation(config: dict, outcome) -> Evaluation:

@@ -1,16 +1,15 @@
 """Typed design-space definition.
 
-HyperMapper describes a search space as a JSON document of real, integer,
-ordinal and categorical parameters; Homunculus generates such a document
-from the Alchemy program.  :class:`DesignSpace` is the in-memory form: it
-samples configurations, validates them, and encodes them as numeric vectors
-for the tree-based surrogate (categoricals become level indices, which is
-the natural encoding for axis-aligned splits).
+HyperMapper describes a search space as real, integer, ordinal and
+categorical parameters; Homunculus generates such a space from the Alchemy
+program.  :class:`DesignSpace` holds it: it samples configurations,
+validates them, and encodes them as numeric vectors for the tree-based
+surrogate (categoricals become level indices, which is the natural
+encoding for axis-aligned splits).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -152,19 +151,6 @@ class DesignSpace:
         except KeyError:
             raise DesignSpaceError(f"unknown parameter {name!r}") from None
 
-    @property
-    def cardinality(self) -> float:
-        """Number of distinct configurations (``inf`` if any Real present)."""
-        total = 1.0
-        for p in self.parameters:
-            if isinstance(p, Real):
-                return float("inf")
-            if isinstance(p, Integer):
-                total *= p.high - p.low + 1
-            else:
-                total *= len(p.values)
-        return total
-
     # -- sampling and validation --------------------------------------------
     def sample(self, rng: np.random.Generator, n: int = 1) -> list[dict]:
         """Draw ``n`` uniform configurations."""
@@ -205,43 +191,3 @@ class DesignSpace:
     def key(self, config: dict) -> tuple:
         """A hashable identity for deduplicating evaluations."""
         return tuple(config[name] for name in self.names)
-
-    # -- JSON round trip (the HyperMapper interchange format) ----------------
-    def to_json(self) -> str:
-        """Serialize in a HyperMapper-style JSON schema."""
-        doc: dict[str, dict] = {"input_parameters": {}}
-        for p in self.parameters:
-            if isinstance(p, Real):
-                entry = {"parameter_type": "real", "values": [p.low, p.high]}
-            elif isinstance(p, Integer):
-                entry = {"parameter_type": "integer", "values": [p.low, p.high]}
-            elif isinstance(p, Ordinal):
-                entry = {"parameter_type": "ordinal", "values": list(p.values)}
-            else:
-                entry = {"parameter_type": "categorical", "values": list(p.values)}
-            doc["input_parameters"][p.name] = entry
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DesignSpace":
-        """Parse the schema produced by :meth:`to_json`."""
-        try:
-            doc = json.loads(text)
-            raw = doc["input_parameters"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DesignSpaceError(f"malformed design-space JSON: {exc}") from exc
-        params = []
-        for name, entry in raw.items():
-            kind = entry.get("parameter_type")
-            values = entry.get("values", [])
-            if kind == "real":
-                params.append(Real(name, float(values[0]), float(values[1])))
-            elif kind == "integer":
-                params.append(Integer(name, int(values[0]), int(values[1])))
-            elif kind == "ordinal":
-                params.append(Ordinal(name, tuple(values)))
-            elif kind == "categorical":
-                params.append(Categorical(name, tuple(values)))
-            else:
-                raise DesignSpaceError(f"unknown parameter_type {kind!r} for {name!r}")
-        return cls(params)

@@ -1,15 +1,12 @@
 """Surrogate models for Bayesian optimization.
 
-Two interchangeable surrogates:
-
 * :class:`RandomForestSurrogate` — the paper's choice ("Random Forests
   surrogate model, which is known to work well with systems workloads that
-  require modeling of discrete parameters", §5); uncertainty is the
-  across-tree spread.
-* :class:`GaussianProcessSurrogate` — the classical BO surrogate, useful on
-  smooth continuous spaces and as an ablation point.
-
-Both expose ``fit(X, y)`` and ``predict(X) -> (mean, std)``.
+  require modeling of discrete parameters", §5); ``fit(X, y)`` and
+  ``predict(X) -> (mean, std)``, the uncertainty being the across-tree
+  spread.
+* :class:`FeasibilityModel` — the probability that a configuration is
+  feasible, the constraint factor of the acquisition function.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import numpy as np
 
 from repro.errors import DesignSpaceError
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
-from repro.rng import as_generator
 
 
 class RandomForestSurrogate:
@@ -96,86 +92,3 @@ class FeasibilityModel:
         proba = self._forest.predict_proba(X)
         positive = list(self._forest.classes_).index(1)
         return proba[:, positive]
-
-
-class GaussianProcessSurrogate:
-    """GP regression with an RBF kernel and analytic posterior.
-
-    Inputs are standardized internally; the length scale defaults to the
-    median pairwise distance heuristic unless given.
-    """
-
-    def __init__(
-        self,
-        length_scale: float | None = None,
-        signal_variance: float = 1.0,
-        noise_variance: float = 1e-6,
-        seed: "int | np.random.Generator | None" = None,
-    ) -> None:
-        if signal_variance <= 0 or noise_variance < 0:
-            raise DesignSpaceError("variances must be positive (noise may be 0)")
-        self.length_scale = length_scale
-        self.signal_variance = float(signal_variance)
-        self.noise_variance = float(noise_variance)
-        self._rng = as_generator(seed)
-        self._X: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
-        self._y_mean = 0.0
-        self._y_std = 1.0
-        self._x_mean: np.ndarray | None = None
-        self._x_std: np.ndarray | None = None
-        self._fitted_scale = 1.0
-
-    def _standardize(self, X: np.ndarray) -> np.ndarray:
-        return (X - self._x_mean) / self._x_std
-
-    def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
-        return self.signal_variance * np.exp(-0.5 * sq / self._fitted_scale**2)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcessSurrogate":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] < 1:
-            raise DesignSpaceError("surrogate needs at least one observation")
-        self._x_mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std[std == 0.0] = 1.0
-        self._x_std = std
-        Xs = self._standardize(X)
-        self._y_mean = float(y.mean())
-        self._y_std = float(y.std()) or 1.0
-        ys = (y - self._y_mean) / self._y_std
-        if self.length_scale is not None:
-            self._fitted_scale = float(self.length_scale)
-        else:
-            # Median-distance heuristic over standardized inputs.
-            if Xs.shape[0] > 1:
-                d = np.sqrt(((Xs[:, None, :] - Xs[None, :, :]) ** 2).sum(-1))
-                med = float(np.median(d[np.triu_indices_from(d, k=1)]))
-                self._fitted_scale = med if med > 0 else 1.0
-            else:
-                self._fitted_scale = 1.0
-        K = self._kernel(Xs, Xs)
-        K[np.diag_indices_from(K)] += max(self.noise_variance, 1e-10)
-        self._chol = np.linalg.cholesky(K)
-        self._alpha = np.linalg.solve(
-            self._chol.T, np.linalg.solve(self._chol, ys)
-        )
-        self._X = Xs
-        return self
-
-    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._X is None or self._alpha is None or self._chol is None:
-            raise DesignSpaceError("GP surrogate used before fit()")
-        Xs = self._standardize(np.asarray(X, dtype=float))
-        Ks = self._kernel(Xs, self._X)
-        mean = Ks @ self._alpha
-        v = np.linalg.solve(self._chol, Ks.T)
-        var = self.signal_variance - np.sum(v**2, axis=0)
-        var = np.maximum(var, 1e-12)
-        return (
-            mean * self._y_std + self._y_mean,
-            np.sqrt(var) * self._y_std,
-        )

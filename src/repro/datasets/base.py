@@ -14,8 +14,8 @@ from repro.errors import DatasetError
 class Dataset:
     """A train/test split with labels and metadata.
 
-    ``to_loader_dict`` produces the exact structure the paper's
-    ``@DataLoader`` functions return (Figure 3):
+    ``from_loader_dict`` adopts the structure the paper's ``@DataLoader``
+    functions return (Figure 3):
     ``{"data": {"train", "test"}, "labels": {"train", "test"}}``.
     """
 
@@ -88,13 +88,6 @@ class Dataset:
             # contents differ, and must not inherit this digest.
             self._content_digest = digest
         return digest[:length]
-
-    def to_loader_dict(self) -> dict:
-        """The Alchemy ``@DataLoader`` return structure (paper Figure 3)."""
-        return {
-            "data": {"train": self.train_x, "test": self.test_x},
-            "labels": {"train": self.train_y, "test": self.test_y},
-        }
 
     @classmethod
     def from_loader_dict(cls, loaded: dict, name: str = "dataset") -> "Dataset":

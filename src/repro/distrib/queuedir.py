@@ -307,7 +307,7 @@ class WorkQueue:
     # -- bookkeeping --------------------------------------------------------
     def wait_resolved(
         self, names: list, timeout: "float | None" = None,
-        poll: float = 0.05, alive=None, fail_fast: bool = False,
+        poll: float = 0.05, alive=None,
     ) -> "tuple[dict, dict]":
         """Block until every name is *resolved*: a result or a failure.
 
@@ -315,9 +315,6 @@ class WorkQueue:
         is the fault-tolerant wait: a failure is an outcome to report,
         not an exception to raise — the caller (the driver's retry loop)
         decides whether to re-post the task under its next attempt name.
-        ``fail_fast=True`` returns as soon as any failure is observed
-        instead of waiting for the stragglers (the strict
-        :meth:`wait_names` semantics).
 
         A name with *both* a result and a failure (a requeued task whose
         slow original owner recorded a late failure while the requeued
@@ -348,8 +345,6 @@ class WorkQueue:
                     failures[name] = failure
             if len(results) + len(failures) == len(names):
                 return results, failures
-            if failures and fail_fast:
-                return results, failures
             if alive is not None and not alive():
                 for name in names:
                     if name not in results and name not in failures:
@@ -365,30 +360,3 @@ class WorkQueue:
                     f"timed out waiting for work-queue results: {missing}"
                 )
             time.sleep(poll)
-
-    def wait_names(self, names: list, timeout: "float | None" = None,
-                   poll: float = 0.05, alive=None) -> dict:
-        """Block until every name has a result; raise on failures.
-
-        The strict, retry-free wait — a fail-fast wrap of
-        :meth:`wait_resolved`: the first observed failure (or all
-        drainers exiting with work outstanding) raises
-        :class:`DistributionError`.  Retry-capable callers want
-        :meth:`wait_resolved` itself.
-        """
-        results, failures = self.wait_resolved(
-            names, timeout=timeout, poll=poll, alive=alive, fail_fast=True
-        )
-        for name in names:
-            failure = failures.get(name)
-            if failure is None:
-                continue
-            if "drainers exited" in str(failure.get("error", "")):
-                missing = sorted(set(names) - set(results))
-                raise DistributionError(
-                    f"work-queue drainers exited with tasks unfinished: {missing}"
-                )
-            raise DistributionError(
-                f"work-queue task {name!r} failed: {failure.get('error')}"
-            )
-        return results

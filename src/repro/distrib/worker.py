@@ -39,7 +39,7 @@ from repro.bayesopt.results import Evaluation, OptimizationResult
 from repro.bayesopt.scalarization import pareto_front
 from repro.core.compiler import _search_one_family
 from repro.core.pareto import PRIMARY_RESOURCE
-from repro.fsio import atomic_write_json, jsonable
+from repro.fsio import atomic_write_json
 from repro.obs import flush_obs
 from repro.obs.registry import MetricsRegistry, enabled as obs_enabled
 from repro.obs.trace import NULL_TRACER, Tracer, get_tracer
@@ -134,25 +134,6 @@ class ClaimHeartbeat:
             self._thread.join(timeout=5)
 
 
-def evaluation_to_dict(evaluation: Evaluation) -> dict:
-    """JSON form of one evaluation (numpy scalars coerced)."""
-    return {
-        "config": jsonable(evaluation.config),
-        "objective": float(evaluation.objective),
-        "feasible": bool(evaluation.feasible),
-        "metrics": jsonable(evaluation.metrics),
-    }
-
-
-def evaluation_from_dict(doc: dict) -> Evaluation:
-    return Evaluation(
-        config=dict(doc["config"]),
-        objective=float(doc["objective"]),
-        feasible=bool(doc["feasible"]),
-        metrics=dict(doc.get("metrics", {})),
-    )
-
-
 def unit_front_indices(history: list, resource_key: str) -> list:
     """Indices of the feasible, non-dominated evaluations of one history.
 
@@ -199,7 +180,7 @@ class UnitResult:
             "family_index": self.family_index,
             "algorithm": self.algorithm,
             "start": self.start,
-            "history": [evaluation_to_dict(e) for e in self.history],
+            "history": [e.to_dict() for e in self.history],
             "front": list(self.front),
             "spill": self.spill,
             "elapsed_s": self.elapsed_s,
@@ -213,7 +194,8 @@ class UnitResult:
             family_index=int(doc["family_index"]),
             algorithm=doc["algorithm"],
             start=int(doc.get("start", 0)),
-            history=[evaluation_from_dict(e) for e in doc.get("history", [])],
+            history=[Evaluation.from_dict(e, f"unit result history[{i}]")
+                     for i, e in enumerate(doc.get("history", []))],
             front=[int(i) for i in doc.get("front", [])],
             spill=doc.get("spill"),
             elapsed_s=float(doc.get("elapsed_s", 0.0)),

@@ -9,8 +9,8 @@ deployment plan:
 
 * :mod:`repro.fabric.topology` — tier specs, expansion into devices and
   links, port/order validation,
-* :mod:`repro.fabric.traffic` — per-app demands, boundary
-  oversubscription, demand-derived router weights,
+* :mod:`repro.fabric.traffic` — per-app demands and boundary
+  oversubscription,
 * :mod:`repro.fabric.placement` — per-switch budgets from the backend
   resource models; infeasible placements raise
   :class:`~repro.errors.PlacementError` naming the exhausted budget,
@@ -52,8 +52,6 @@ from repro.fabric.routing import (
     ingress_tier,
     leaf_for_server,
     server_for_ip,
-    tier_route_weights,
-    topology_dispatch,
 )
 from repro.fabric.topology import (
     TIER_ORDER,
@@ -61,7 +59,6 @@ from repro.fabric.topology import (
     Link,
     TierSpec,
     Topology,
-    load_topology,
 )
 from repro.fabric.traffic import Demand, TrafficMatrix
 
@@ -72,7 +69,6 @@ __all__ = [
     "Device",
     "Link",
     "Topology",
-    "load_topology",
     # traffic
     "Demand",
     "TrafficMatrix",
@@ -95,8 +91,6 @@ __all__ = [
     "server_for_ip",
     "leaf_for_server",
     "ingress_tier",
-    "topology_dispatch",
-    "tier_route_weights",
     # deploy
     "extractor_for",
     "rebuild_plan_pipelines",

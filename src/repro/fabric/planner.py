@@ -40,7 +40,7 @@ from repro.fabric.placement import (
     sum_usage,
     tier_budget,
 )
-from repro.fabric.topology import TIER_ORDER, Topology, _load_doc
+from repro.fabric.topology import TIER_ORDER, Topology
 from repro.fabric.traffic import TrafficMatrix
 from repro.fsio import jsonable
 from repro.obs import get_registry, get_tracer
@@ -207,8 +207,33 @@ class FabricSpec:
         )
 
 
+def _load_doc(path: str) -> dict:
+    """Parse a JSON or (when pyyaml is available) YAML document."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    if path.endswith((".yaml", ".yml")):
+        try:
+            import yaml
+        except ImportError as exc:  # pragma: no cover - env-dependent
+            raise FabricError(
+                f"{path}: YAML specs need pyyaml; rewrite the spec as JSON"
+            ) from exc
+        doc = yaml.safe_load(text)
+    else:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FabricError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FabricError(f"{path}: expected a mapping at top level")
+    return doc
+
+
 def load_fabric_spec(path: str) -> FabricSpec:
-    """Load a :class:`FabricSpec` from a ``.json`` / ``.yaml`` file."""
+    """Load a :class:`FabricSpec` from a ``.json`` / ``.yaml`` file.
+
+    YAML needs ``pyyaml``, which is optional.
+    """
     if not os.path.exists(path):
         raise FabricError(f"no fabric spec at {path!r}")
     return FabricSpec.from_dict(_load_doc(path))
@@ -232,12 +257,6 @@ class FabricPlan:
     placement: dict = field(default_factory=dict)
     traffic: dict = field(default_factory=dict)
     seed: int = 0
-
-    def device_entries(self, device: "str | None" = None) -> list:
-        """Plan entries, optionally filtered to one device."""
-        if device is None:
-            return list(self.devices)
-        return [e for e in self.devices if e["device"] == device]
 
     def tiers(self) -> list:
         """Tiers that actually host at least one placed model."""

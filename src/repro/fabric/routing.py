@@ -10,25 +10,20 @@ device would see it first:
 
 * :func:`server_for_ip` / :func:`leaf_for_server` mirror the topology's
   deterministic expansion (server ``i`` uplinks to leaf ``i % n_leaf``),
-* :func:`ingress_tier` classifies a packet by its endpoints' attachment,
-* :func:`topology_dispatch` packages that as a router dispatch function,
-* :func:`tier_route_weights` derives per-tier router weights from a
-  traffic matrix's boundary loads, so the serving split mirrors where
-  the offered load actually lands.
+* :func:`ingress_tier` classifies a packet by its endpoints' attachment;
+  ``dispatch=lambda p: ingress_tier(topology, p)`` is the router's
+  topology-aware mode.
 """
 
 from __future__ import annotations
 
 from repro.errors import FabricError
 from repro.fabric.topology import Topology
-from repro.fabric.traffic import TrafficMatrix
 
 __all__ = [
     "server_for_ip",
     "leaf_for_server",
     "ingress_tier",
-    "topology_dispatch",
-    "tier_route_weights",
 ]
 
 
@@ -69,41 +64,3 @@ def ingress_tier(topology: Topology, packet) -> str:
     if src == dst or len(switch) == 1:
         return leaf.tier
     return switch[1].tier
-
-
-def topology_dispatch(topology: Topology):
-    """A :class:`~repro.serving.router.PipelineRouter` dispatch callable.
-
-    Routes must be named after switch tiers (``"leaf"``, ``"spine"``);
-    each packet is steered to its :func:`ingress_tier`.
-    """
-    def dispatch(packet) -> str:
-        return ingress_tier(topology, packet)
-
-    return dispatch
-
-
-def tier_route_weights(traffic: TrafficMatrix, topology: Topology) -> dict:
-    """Per-tier router weights proportional to boundary demand.
-
-    Each switch tier is weighted by the offered load on the boundary
-    directly below it (the traffic its devices must classify), scaled
-    so the lightest loaded tier gets weight 1 — the integer each
-    route's :attr:`~repro.serving.router.Route.weight` takes.
-    Tiers with no offered load get weight 1.
-    """
-    rollup = traffic.oversubscription(topology)
-    names = [t.tier for t in topology.tiers]
-    loads = {}
-    for tier in topology.switch_tiers():
-        below = names[names.index(tier.tier) - 1]
-        boundary = f"{below}-{tier.tier}"
-        loads[tier.tier] = rollup[boundary]["demand_gbps"]
-    positive = [v for v in loads.values() if v > 0]
-    if not positive:
-        return {tier: 1 for tier in loads}
-    floor = min(positive)
-    return {
-        tier: max(1, round(load / floor)) if load > 0 else 1
-        for tier, load in loads.items()
-    }

@@ -20,16 +20,10 @@ loudly: unknown device types go through the shared backend resolver
 (:func:`repro.backends.registry.resolve_backend_name`), and a tier whose
 port count cannot carry its own down- plus uplinks is rejected before
 any model is compiled.
-
-Specs load from JSON always, and from YAML when ``pyyaml`` is installed
-(:func:`load_topology` gates the import; the container image is not
-required to have it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from repro.backends.registry import resolve_backend_name
@@ -42,7 +36,6 @@ __all__ = [
     "Device",
     "Link",
     "Topology",
-    "load_topology",
 ]
 
 #: The only tiers a fabric may declare, bottom to top.
@@ -287,32 +280,3 @@ class Topology:
         if not tiers:
             raise FabricError("topology document needs a 'tiers' list")
         return Topology(tiers)
-
-
-def _load_doc(path: str) -> dict:
-    """Parse a JSON or (when pyyaml is available) YAML document."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    if path.endswith((".yaml", ".yml")):
-        try:
-            import yaml
-        except ImportError as exc:  # pragma: no cover - env-dependent
-            raise FabricError(
-                f"{path}: YAML specs need pyyaml; rewrite the spec as JSON"
-            ) from exc
-        doc = yaml.safe_load(text)
-    else:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FabricError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FabricError(f"{path}: expected a mapping at top level")
-    return doc
-
-
-def load_topology(path: str) -> Topology:
-    """Load a topology spec from a ``.json`` / ``.yaml`` file."""
-    if not os.path.exists(path):
-        raise FabricError(f"no topology spec at {path!r}")
-    return Topology.from_dict(_load_doc(path))

@@ -10,7 +10,7 @@ loop has a fast, deterministic black box to evaluate:
   onto match-action tables,
 * :mod:`repro.ml.metrics` — F1 / V-measure and friends (the paper's
   optimization metrics),
-* :mod:`repro.ml.preprocessing` — scalers, encoders, splits,
+* :mod:`repro.ml.preprocessing` — the standard scaler and one-hot encoder,
 * :mod:`repro.ml.quantization` — fixed-point conversion used when lowering a
   trained model onto data-plane hardware.
 """
@@ -25,13 +25,7 @@ from repro.ml.metrics import (
     v_measure_score,
 )
 from repro.ml.network import NeuralNetwork
-from repro.ml.preprocessing import (
-    LabelEncoder,
-    MinMaxScaler,
-    OneHotEncoder,
-    StandardScaler,
-    train_test_split,
-)
+from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.ml.svm import LinearSVM
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
@@ -49,8 +43,5 @@ __all__ = [
     "f1_score",
     "v_measure_score",
     "StandardScaler",
-    "MinMaxScaler",
     "OneHotEncoder",
-    "LabelEncoder",
-    "train_test_split",
 ]

@@ -1,9 +1,7 @@
 """KMeans clustering (Lloyd's algorithm with k-means++ seeding).
 
 The Figure-7 microbenchmark maps KMeans onto match-action tables one
-cluster at a time, so cluster count is the resource knob; ``merge_clusters``
-implements the paper's coarsening fallback when fewer tables are available
-than clusters requested.
+cluster at a time, so cluster count is the resource knob.
 """
 
 from __future__ import annotations
@@ -113,45 +111,6 @@ class KMeans:
         X = np.asarray(X, dtype=float)
         dists = ((X[:, None, :] - self.cluster_centers_[None, :, :]) ** 2).sum(-1)
         return dists.argmin(axis=1)
-
-    def merge_clusters(self, target: int) -> "KMeans":
-        """Return a coarser model with ``target`` clusters.
-
-        Greedily merges the closest centroid pair (weighted midpoint) until
-        ``target`` remain — the paper's fallback when a switch has fewer
-        MATs than requested clusters (Figure 7, K4..K1).
-        """
-        if self.cluster_centers_ is None:
-            raise TrainingError("KMeans used before fit()")
-        if target < 1:
-            raise TrainingError(f"target must be >= 1, got {target}")
-        if target >= self.n_clusters:
-            return self
-        centers = [c.copy() for c in self.cluster_centers_]
-        weights = [1.0] * len(centers)
-        while len(centers) > target:
-            best = (0, 1)
-            best_d = np.inf
-            for i in range(len(centers)):
-                for j in range(i + 1, len(centers)):
-                    d = float(((centers[i] - centers[j]) ** 2).sum())
-                    if d < best_d:
-                        best_d, best = d, (i, j)
-            i, j = best
-            wi, wj = weights[i], weights[j]
-            merged = (centers[i] * wi + centers[j] * wj) / (wi + wj)
-            centers[i] = merged
-            weights[i] = wi + wj
-            del centers[j], weights[j]
-        coarse = KMeans(
-            n_clusters=target,
-            n_init=self.n_init,
-            max_iter=self.max_iter,
-            tol=self.tol,
-        )
-        coarse.cluster_centers_ = np.asarray(centers)
-        coarse.inertia_ = None
-        return coarse
 
     @property
     def n_params(self) -> int:

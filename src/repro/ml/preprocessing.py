@@ -1,4 +1,4 @@
-"""Feature preprocessing: scalers, encoders and dataset splitting.
+"""Feature preprocessing: a standard scaler and a one-hot label encoder.
 
 These mirror the scikit-learn API shape (``fit`` / ``transform`` /
 ``fit_transform``) because that is what the paper's data loaders assume, but
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.rng import as_generator
 
 
 def _as_2d(X) -> np.ndarray:
@@ -59,97 +58,6 @@ class StandardScaler:
         """:meth:`fit` on ``X``, then :meth:`transform` the same array."""
         return self.fit(X).transform(X)
 
-    def inverse_transform(self, X) -> np.ndarray:
-        """Undo :meth:`transform`: map standardized values back to raw units."""
-        if self.mean_ is None or self.scale_ is None:
-            raise DatasetError("StandardScaler used before fit()")
-        return _as_2d(X) * self.scale_ + self.mean_
-
-
-class MinMaxScaler:
-    """Scale features into ``[lo, hi]`` (default ``[0, 1]``).
-
-    Data-plane targets operate on bounded fixed-point values, so feature
-    ranges must be normalised before quantization; this scaler is the
-    canonical first stage of every generated pipeline.
-    """
-
-    def __init__(self, feature_range: tuple[float, float] = (0.0, 1.0)) -> None:
-        lo, hi = feature_range
-        if not lo < hi:
-            raise DatasetError(f"feature_range must satisfy lo < hi, got {feature_range}")
-        self.feature_range = (float(lo), float(hi))
-        self.data_min_: np.ndarray | None = None
-        self.data_max_: np.ndarray | None = None
-
-    def fit(self, X) -> "MinMaxScaler":
-        """Record each feature's min and max over ``X``."""
-        X = _as_2d(X)
-        if X.shape[0] == 0:
-            raise DatasetError("cannot fit MinMaxScaler on an empty array")
-        self.data_min_ = X.min(axis=0)
-        self.data_max_ = X.max(axis=0)
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Rescale ``X`` into ``feature_range`` using the fitted min/max.
-
-        Constant features map to the range's low end rather than
-        dividing by a zero span.
-        """
-        if self.data_min_ is None or self.data_max_ is None:
-            raise DatasetError("MinMaxScaler used before fit()")
-        X = _as_2d(X)
-        span = self.data_max_ - self.data_min_
-        span = np.where(span == 0.0, 1.0, span)
-        lo, hi = self.feature_range
-        unit = (X - self.data_min_) / span
-        return unit * (hi - lo) + lo
-
-    def fit_transform(self, X) -> np.ndarray:
-        """:meth:`fit` on ``X``, then :meth:`transform` the same array."""
-        return self.fit(X).transform(X)
-
-
-class LabelEncoder:
-    """Map arbitrary hashable labels to contiguous integers ``0..K-1``."""
-
-    def __init__(self) -> None:
-        self.classes_: np.ndarray | None = None
-
-    def fit(self, y) -> "LabelEncoder":
-        """Learn the sorted set of distinct labels in ``y``."""
-        self.classes_ = np.unique(np.asarray(y))
-        return self
-
-    def transform(self, y) -> np.ndarray:
-        """Encode ``y`` as indices into :attr:`classes_`.
-
-        A label never seen during :meth:`fit` raises
-        :class:`~repro.errors.DatasetError`.
-        """
-        if self.classes_ is None:
-            raise DatasetError("LabelEncoder used before fit()")
-        y = np.asarray(y)
-        index = {label: i for i, label in enumerate(self.classes_)}
-        try:
-            return np.array([index[v] for v in y], dtype=int)
-        except KeyError as exc:
-            raise DatasetError(f"unseen label during transform: {exc.args[0]!r}") from exc
-
-    def fit_transform(self, y) -> np.ndarray:
-        """:meth:`fit` on ``y``, then :meth:`transform` the same labels."""
-        return self.fit(y).transform(y)
-
-    def inverse_transform(self, y) -> np.ndarray:
-        """Map encoded integers back to the original labels."""
-        if self.classes_ is None:
-            raise DatasetError("LabelEncoder used before fit()")
-        y = np.asarray(y, dtype=int)
-        if y.size and (y.min() < 0 or y.max() >= len(self.classes_)):
-            raise DatasetError("encoded labels out of range for inverse_transform")
-        return self.classes_[y]
-
 
 class OneHotEncoder:
     """One-hot encode integer class labels.
@@ -188,56 +96,3 @@ class OneHotEncoder:
     def fit_transform(self, y) -> np.ndarray:
         """:meth:`fit` on ``y``, then :meth:`transform` the same labels."""
         return self.fit(y).transform(y)
-
-    @staticmethod
-    def inverse_transform(one_hot) -> np.ndarray:
-        """Collapse one-hot (or probability) rows back to class indices."""
-        one_hot = np.asarray(one_hot, dtype=float)
-        if one_hot.ndim != 2:
-            raise DatasetError("one-hot array must be 2-D")
-        return one_hot.argmax(axis=1)
-
-
-def train_test_split(
-    X,
-    y,
-    test_size: float = 0.25,
-    seed: "int | np.random.Generator | None" = None,
-    stratify: bool = False,
-):
-    """Shuffle and split ``(X, y)`` into train and test partitions.
-
-    With ``stratify=True`` every class keeps (approximately) the same
-    proportion in both partitions, which matters for the heavily imbalanced
-    intrusion-detection traces used in the paper.
-
-    Returns ``(X_train, X_test, y_train, y_test)``.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise DatasetError(f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}")
-    if not 0.0 < test_size < 1.0:
-        raise DatasetError(f"test_size must be in (0, 1), got {test_size}")
-    rng = as_generator(seed)
-    n = X.shape[0]
-    if stratify:
-        test_idx: list[int] = []
-        train_idx: list[int] = []
-        for label in np.unique(y):
-            members = np.flatnonzero(y == label)
-            rng.shuffle(members)
-            k = int(round(len(members) * test_size))
-            k = min(max(k, 1 if len(members) > 1 else 0), len(members) - 1) if len(members) > 1 else 0
-            test_idx.extend(members[:k])
-            train_idx.extend(members[k:])
-        train = np.array(sorted(train_idx), dtype=int)
-        test = np.array(sorted(test_idx), dtype=int)
-        rng.shuffle(train)
-        rng.shuffle(test)
-    else:
-        order = rng.permutation(n)
-        k = int(round(n * test_size))
-        k = min(max(k, 1), n - 1) if n > 1 else 0
-        test, train = order[:k], order[k:]
-    return X[train], X[test], y[train], y[test]

@@ -17,10 +17,7 @@ from repro.errors import BackendError
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """A signed Qm.n fixed-point format (1 sign bit + m integer + n fraction).
-
-    ``total_bits = 1 + integer_bits + fraction_bits``.
-    """
+    """A signed Qm.n fixed-point format (1 sign bit + m integer + n fraction)."""
 
     integer_bits: int
     fraction_bits: int
@@ -30,10 +27,6 @@ class FixedPointFormat:
             raise BackendError("fixed-point bit widths must be non-negative")
         if self.integer_bits + self.fraction_bits == 0:
             raise BackendError("fixed-point format needs at least one value bit")
-
-    @property
-    def total_bits(self) -> int:
-        return 1 + self.integer_bits + self.fraction_bits
 
     @property
     def scale(self) -> float:
@@ -78,4 +71,3 @@ def quantize(values, fmt: FixedPointFormat = DEFAULT_FORMAT) -> np.ndarray:
 def quantization_error_bound(fmt: FixedPointFormat = DEFAULT_FORMAT) -> float:
     """Worst-case rounding error for in-range values (half an LSB)."""
     return fmt.scale / 2.0
-

@@ -8,7 +8,7 @@ generators that stand in for the proprietary datasets.
 """
 
 from repro.netsim.features import PACKET_FEATURE_NAMES, packet_features
-from repro.netsim.flow import Flow, FlowTable
+from repro.netsim.flow import Flow
 from repro.netsim.flowmarker import (
     FlowMarkerSpec,
     build_flowmarker,
@@ -24,7 +24,6 @@ from repro.netsim.packet import (
 from repro.netsim.trace import (
     TrafficProfile,
     generate_flow,
-    generate_trace,
     interleave_flows,
 )
 
@@ -35,10 +34,8 @@ __all__ = [
     "PROTO_TCP",
     "PROTO_UDP",
     "Flow",
-    "FlowTable",
     "TrafficProfile",
     "generate_flow",
-    "generate_trace",
     "interleave_flows",
     "packet_features",
     "PACKET_FEATURE_NAMES",

@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.netsim.flow import Flow
 from repro.netsim.packet import Packet
 
 #: Canonical per-packet feature order (7 features, as in the paper's AD/TC).
@@ -67,8 +66,3 @@ def packet_feature_matrix(packets: Sequence[Packet]) -> np.ndarray:
     out[:, :6] = fields[:, :6]
     out[:, 6] = (mixed >> np.uint64(16)) ^ (mixed & np.uint64(0xFFFF))
     return out
-
-
-def flow_packet_features(flow: Flow) -> np.ndarray:
-    """Feature matrix (n_packets x 7) for every packet of a flow."""
-    return packet_feature_matrix(list(flow))

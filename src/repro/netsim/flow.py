@@ -1,18 +1,14 @@
-"""Flows and flow aggregation.
-
-A :class:`Flow` is a time-ordered packet sequence with derived statistics;
-:class:`FlowTable` groups a packet stream into flows under a configurable
-key (5-tuple or FlowLens-style conversation key).
-"""
+"""Flows: a :class:`Flow` is a time-ordered packet sequence with derived
+statistics."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.netsim.packet import Packet, five_tuple
+from repro.netsim.packet import Packet
 
 
 class Flow:
@@ -48,10 +44,6 @@ class Flow:
         return self.packets[-1].timestamp - self.packets[0].timestamp
 
     @property
-    def total_bytes(self) -> int:
-        return sum(p.size for p in self.packets)
-
-    @property
     def sizes(self) -> np.ndarray:
         return np.array([p.size for p in self.packets], dtype=float)
 
@@ -63,45 +55,5 @@ class Flow:
         ts = np.array([p.timestamp for p in self.packets])
         return np.diff(ts)
 
-    @property
-    def mean_size(self) -> float:
-        return float(self.sizes.mean()) if self.packets else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Flow(n={len(self)}, dur={self.duration:.1f}s, label={self.label!r})"
-
-
-class FlowTable:
-    """Group a packet stream into flows by a key function.
-
-    The default key is the 5-tuple; pass
-    :func:`repro.netsim.packet.conversation_key` for FlowLens-style
-    host-pair conversations.
-    """
-
-    def __init__(self, key_fn: Callable[[Packet], tuple] = five_tuple) -> None:
-        self.key_fn = key_fn
-        self._flows: dict[tuple, Flow] = {}
-
-    def observe(self, packet: Packet) -> Flow:
-        """Route one packet to its flow (creating it on first sight)."""
-        key = self.key_fn(packet)
-        flow = self._flows.get(key)
-        if flow is None:
-            flow = Flow()
-            self._flows[key] = flow
-        flow.add(packet)
-        return flow
-
-    @property
-    def flows(self) -> list[Flow]:
-        return list(self._flows.values())
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def __getitem__(self, key: tuple) -> Flow:
-        return self._flows[key]
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._flows

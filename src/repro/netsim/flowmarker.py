@@ -98,25 +98,6 @@ def partial_flowmarkers(
         yield marker.copy()
 
 
-def fuse_bins(marker: np.ndarray, factor: int) -> np.ndarray:
-    """Fuse adjacent bins by summation (FlowLens's quantization knob).
-
-    ``factor`` adjacent bins collapse into one; a remainder chunk keeps the
-    tail.  Used to shrink 151-bin FlowLens markers into the paper's 30-bin
-    form while preserving total packet count.
-    """
-    if factor < 1:
-        raise DatasetError(f"fuse factor must be >= 1, got {factor}")
-    marker = np.asarray(marker, dtype=float)
-    if factor == 1:
-        return marker.copy()
-    n_out = int(np.ceil(marker.shape[0] / factor))
-    out = np.zeros(n_out)
-    for i in range(n_out):
-        out[i] = marker[i * factor : (i + 1) * factor].sum()
-    return out
-
-
 def average_marker(flows: list[Flow], spec: FlowMarkerSpec = PAPER_SPEC) -> np.ndarray:
     """Average full-flow marker across flows (the curves of Figure 6)."""
     if not flows:

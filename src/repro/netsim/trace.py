@@ -123,39 +123,6 @@ def generate_flow(
     return flow
 
 
-def generate_trace(
-    profiles: list[TrafficProfile],
-    n_flows: int,
-    seed: "int | np.random.Generator | None" = None,
-    weights: "list[float] | None" = None,
-) -> list[Flow]:
-    """Generate ``n_flows`` labeled flows drawn from ``profiles``.
-
-    ``weights`` gives the class mix (uniform by default).  Flows get random
-    start offsets so interleaving resembles a real capture.
-    """
-    if n_flows < 1:
-        raise DatasetError(f"n_flows must be >= 1, got {n_flows}")
-    if not profiles:
-        raise DatasetError("need at least one traffic profile")
-    rng = as_generator(seed)
-    if weights is None:
-        probs = np.full(len(profiles), 1.0 / len(profiles))
-    else:
-        if len(weights) != len(profiles):
-            raise DatasetError("weights and profiles must have equal length")
-        probs = np.asarray(weights, dtype=float)
-        if (probs < 0).any() or probs.sum() <= 0:
-            raise DatasetError("weights must be non-negative and sum > 0")
-        probs = probs / probs.sum()
-    flows = []
-    for _ in range(n_flows):
-        profile = profiles[int(rng.choice(len(profiles), p=probs))]
-        start = float(rng.uniform(0.0, 60.0))
-        flows.append(generate_flow(profile, seed=rng, start_time=start))
-    return flows
-
-
 def interleave_flows(flows, label_fn=None) -> tuple:
     """Merge flows into one capture: timestamp-sorted ``(packets, labels)``.
 

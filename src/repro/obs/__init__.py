@@ -3,7 +3,7 @@
 One queryable account of what every plane — search, serving, control —
 is doing and how long it takes.  Three pieces:
 
-* :mod:`repro.obs.registry` — labeled Counter/Gauge/Histogram
+* :mod:`repro.obs.registry` — labeled Counter/Histogram
   instruments in a process-wide :class:`MetricsRegistry`, with
   snapshot-to-dict, multi-process merge, and Prometheus text
   exposition for ``GET /metrics``.
@@ -34,7 +34,6 @@ from repro.fsio import atomic_write_json
 from repro.obs.collectors import fleet_samples, serving_samples
 from repro.obs.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -62,7 +61,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",

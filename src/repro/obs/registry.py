@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: labeled counters, gauges, histograms.
+"""Process-wide metrics registry: labeled counters and histograms.
 
 The telemetry the repo already keeps is *embedded* — ring buffers inside
 :class:`~repro.serving.stats.ServingStats`, hit/miss counters on
@@ -11,10 +11,9 @@ processes (shard workers ship their snapshots home inside
 :class:`~repro.distrib.worker.ShardResult`), and render in the
 Prometheus text exposition format for ``GET /metrics``.
 
-Three instruments, the classic trio:
+Two instruments:
 
 * :class:`Counter` — monotonically increasing float (``_total`` names),
-* :class:`Gauge` — a settable level (queue depth, fleet size),
 * :class:`Histogram` — log-binned observation buckets, rendered as
   cumulative Prometheus ``_bucket`` samples.  It is the one log-binned
   histogram in the tree: serving latency
@@ -57,7 +56,6 @@ from repro.errors import HomunculusError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
@@ -102,24 +100,6 @@ class Counter:
         if amount < 0:
             raise HomunculusError(f"counter increment must be >= 0, got {amount}")
         self.value += amount
-
-
-class Gauge:
-    """A settable level (may go up or down)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -212,7 +192,7 @@ class Histogram:
                 + [["+Inf", running[-1]]])
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "histogram": Histogram}
 
 
 class _Family:
@@ -260,7 +240,7 @@ class _Family:
 class MetricsRegistry:
     """A process-wide collection of metric families.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the first
+    ``counter``/``histogram`` are get-or-create: the first
     call fixes the help text and label names, later calls return the
     same family (mismatched redeclarations raise).  Label-less families
     return the instrument directly; labeled families return the family,
@@ -289,10 +269,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "", labels: tuple = ()):
         family = self._family(name, "counter", help, labels)
-        return family if labels else family.default()
-
-    def gauge(self, name: str, help: str = "", labels: tuple = ()):
-        family = self._family(name, "gauge", help, labels)
         return family if labels else family.default()
 
     def histogram(self, name: str, help: str = "", labels: tuple = (),
@@ -346,8 +322,7 @@ def merge_snapshots(snapshots: list) -> dict:
     """Fold several :meth:`MetricsRegistry.snapshot` dicts into one.
 
     The multi-process merge: counters and histogram buckets/sums/counts
-    add; gauges keep the last writer (snapshot order is caller-defined,
-    e.g. shard order, so the merge is deterministic).  Families missing
+    add.  Families missing
     from some snapshots merge fine — a worker that never touched a
     metric simply contributes nothing.
     """
@@ -375,8 +350,6 @@ def merge_snapshots(snapshots: list) -> dict:
                     into["samples"][key] = _copy_sample(value)
                 elif family["kind"] == "counter":
                     into["samples"][key] = have + value
-                elif family["kind"] == "gauge":
-                    into["samples"][key] = value
                 else:
                     into["samples"][key] = _merge_histogram(have, value)
     return merged
@@ -559,12 +532,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -578,9 +545,6 @@ class NullRegistry:
     __slots__ = ()
 
     def counter(self, name: str, help: str = "", labels: tuple = ()):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", labels: tuple = ()):
         return _NULL_INSTRUMENT
 
     def histogram(self, name: str, help: str = "", labels: tuple = (),

@@ -24,10 +24,8 @@ import numpy as np
 
 from repro.errors import HomunculusError
 from repro.netsim.features import packet_feature_matrix
-from repro.netsim.flow import Flow
 from repro.netsim.flowmarker import PAPER_SPEC, FlowMarkerSpec
 from repro.netsim.packet import Packet, conversation_key
-from repro.netsim.trace import interleave_flows
 
 
 class PacketFeatureExtractor:
@@ -89,7 +87,7 @@ class FlowmarkerTracker:
         # ``_last_seen`` is kept least-recently-touched-first (touches
         # re-insert, below), so the victim is simply the first key — O(1)
         # instead of a full min() scan per eviction.  For time-ordered
-        # streams (what ``process_flows`` feeds) this is exactly the
+        # streams (interleaved flows, say) this is exactly the
         # oldest-timestamp victim the scan used to pick.
         oldest = next(iter(self._last_seen))
         del self._markers[oldest]
@@ -266,11 +264,3 @@ class StreamProcessor:
             self.stats.record_batch(predictions, batch_labels)
             out.extend(predictions)
             start += len(batch)
-
-    def process_flows(self, flows: "Iterable[Flow]", label_fn=None) -> list:
-        """Process whole flows in timestamp-interleaved packet order.
-
-        ``label_fn(flow) -> int`` labels every packet of a flow (e.g.
-        :func:`repro.datasets.botnet.flow_label`).
-        """
-        return self.process(*interleave_flows(flows, label_fn))

@@ -6,9 +6,9 @@ Trace replay therefore reads time through a clock object:
 
 * :class:`WallClock` — ``time.monotonic`` plus real ``asyncio.sleep``,
   for live deployments and wall-clock benchmarks,
-* :class:`VirtualClock` — a manually advanced timeline whose ``sleep``
-  returns immediately after bumping the clock, so replaying an hour of
-  capture takes milliseconds and runs bit-identically every time.
+* :class:`VirtualClock` — a timeline whose ``sleep`` returns
+  immediately after bumping the clock, so a test replays an hour of
+  capture in milliseconds and bit-identically every time.
 
 :func:`replay` turns a recorded packet list into a paced async stream:
 inter-packet gaps from the capture are honoured at a configurable speed
@@ -55,7 +55,7 @@ class WallClock:
 
 
 class VirtualClock:
-    """A deterministic timeline advanced only by ``sleep``/``advance``.
+    """A deterministic timeline advanced only by ``sleep``.
 
     ``sleep`` yields to the event loop exactly once (so other tasks make
     progress) but never waits in real time — a replayed trace runs as
@@ -65,7 +65,7 @@ class VirtualClock:
 
         clock = VirtualClock()
         await clock.sleep(3600.0)      # instant; clock.now() == 3600.0
-        engine = AsyncStreamEngine(pipeline, extractor, clock=clock)
+        stream = replay(packets, speed=2.0, clock=clock)
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -73,11 +73,6 @@ class VirtualClock:
 
     def now(self) -> float:
         return self._now
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise HomunculusError(f"cannot advance a clock by {seconds}")
-        self._now += seconds
 
     async def sleep(self, seconds: float) -> None:
         if seconds > 0:

@@ -79,6 +79,11 @@ class Fields:
         """An integer field (booleans and floats are rejected)."""
         return self._read(key, default, none, "an integer", _is_int)
 
+    def boolean(self, key: str, default=_REQUIRED, none: bool = False):
+        """A ``true``/``false`` field."""
+        return self._read(key, default, none, "a boolean",
+                          lambda v: isinstance(v, bool))
+
     def number(self, key: str, default=_REQUIRED, none: bool = False):
         """A real-number field (an integer or a float)."""
         return self._read(key, default, none, "a number", _is_number)

@@ -135,22 +135,6 @@ class TestSchedule:
         node = model > other > model
         assert len(node.distinct_models()) == 2
 
-    def test_dag_sequential_edges(self, model, loader):
-        other = Model(name="b", data_loader=loader)
-        graph = (model > other).to_dag()
-        assert graph.number_of_nodes() == 2
-        assert graph.number_of_edges() == 1
-
-    def test_dag_parallel_no_edges(self, model, loader):
-        other = Model(name="b", data_loader=loader)
-        graph = (model | other).to_dag()
-        assert graph.number_of_edges() == 0
-
-    def test_dag_diamond(self, model):
-        graph = (model >> (model | model) >> model).to_dag()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4  # fan-out 2 + fan-in 2
-
     def test_effective_throughput_is_min(self, model, loader):
         fast = Model(name="fast", data_loader=loader)
         slow = Model(name="slow", data_loader=loader)

@@ -33,8 +33,3 @@ class TestStageReport:
         assert stage_cycles + PARSE_CYCLES + DEPARSE_CYCLES == (
             simulator.pipeline_cycles()
         )
-
-    def test_formatted_report(self, simulator):
-        text = simulator.format_stage_report()
-        assert "Stage" in text and "total" in text
-        assert "7x10" in text

@@ -90,28 +90,7 @@ class TestDesignSpace:
         assert space.key(config) == space.key(dict(config))
         assert isinstance(hash(space.key(config)), int)
 
-    def test_cardinality_finite_space(self):
-        s = DesignSpace([Integer("a", 1, 3), Categorical("b", ("x", "y"))])
-        assert s.cardinality == 6
-
-    def test_cardinality_infinite_with_real(self, space):
-        assert space.cardinality == float("inf")
-
     def test_getitem(self, space):
         assert space["layers"].name == "layers"
         with pytest.raises(DesignSpaceError):
             space["nope"]
-
-    def test_json_round_trip(self, space):
-        text = space.to_json()
-        rebuilt = DesignSpace.from_json(text)
-        assert rebuilt.names == space.names
-        rng = np.random.default_rng(3)
-        for config in rebuilt.sample(rng, 20):
-            space.validate(config)
-
-    def test_from_json_malformed(self):
-        with pytest.raises(DesignSpaceError):
-            DesignSpace.from_json("{not json")
-        with pytest.raises(DesignSpaceError):
-            DesignSpace.from_json('{"input_parameters": {"x": {"parameter_type": "vector"}}}')

@@ -10,7 +10,6 @@ from repro.bayesopt.acquisition import (
 )
 from repro.bayesopt.surrogate import (
     FeasibilityModel,
-    GaussianProcessSurrogate,
     RandomForestSurrogate,
 )
 from repro.errors import DesignSpaceError
@@ -44,31 +43,6 @@ class TestRandomForestSurrogate:
     def test_empty_fit_raises(self):
         with pytest.raises(DesignSpaceError):
             RandomForestSurrogate().fit(np.empty((0, 2)), np.empty(0))
-
-
-class TestGaussianProcessSurrogate:
-    def test_posterior_interpolates_training_points(self):
-        X, y = _toy_regression(n=30)
-        gp = GaussianProcessSurrogate(noise_variance=1e-8).fit(X, y)
-        mean, std = gp.predict(X)
-        assert np.allclose(mean, y, atol=1e-2)
-        assert np.all(std >= 0)
-
-    def test_uncertainty_grows_away_from_data(self):
-        X = np.array([[0.0], [1.0]])
-        y = np.array([0.0, 1.0])
-        gp = GaussianProcessSurrogate(length_scale=0.5).fit(X, y)
-        _, std_near = gp.predict(np.array([[0.5]]))
-        _, std_far = gp.predict(np.array([[10.0]]))
-        assert std_far > std_near
-
-    def test_unfit_raises(self):
-        with pytest.raises(DesignSpaceError):
-            GaussianProcessSurrogate().predict(np.ones((1, 2)))
-
-    def test_bad_variance_raises(self):
-        with pytest.raises(DesignSpaceError):
-            GaussianProcessSurrogate(signal_variance=0.0)
 
 
 class TestFeasibilityModel:

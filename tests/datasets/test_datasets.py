@@ -41,7 +41,9 @@ class TestDatasetContainer:
 
     def test_loader_dict_round_trip(self):
         ds = self._tiny()
-        rebuilt = Dataset.from_loader_dict(ds.to_loader_dict(), name="tiny")
+        loaded = {"data": {"train": ds.train_x, "test": ds.test_x},
+                  "labels": {"train": ds.train_y, "test": ds.test_y}}
+        rebuilt = Dataset.from_loader_dict(loaded, name="tiny")
         assert np.array_equal(rebuilt.train_x, ds.train_x)
         assert np.array_equal(rebuilt.test_y, ds.test_y)
 

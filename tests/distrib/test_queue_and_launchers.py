@@ -97,20 +97,6 @@ class TestWorkQueue:
         assert failure["task"] == {"x": 1}
         assert queue.claimed() == []
 
-    def test_wait_names_raises_on_failure(self, tmp_path):
-        queue = WorkQueue(str(tmp_path))
-        queue.post("t", {"x": 1})
-        name, _ = queue.claim()
-        queue.fail(name, "kaput")
-        with pytest.raises(DistributionError, match="kaput"):
-            queue.wait_names(["t"], timeout=1)
-
-    def test_wait_names_times_out(self, tmp_path):
-        queue = WorkQueue(str(tmp_path))
-        queue.post("t", {"x": 1})
-        with pytest.raises(DistributionError, match="timed out"):
-            queue.wait_names(["t"], timeout=0.2, poll=0.05)
-
     def test_requeue_stale(self, tmp_path):
         queue = WorkQueue(str(tmp_path))
         queue.post("t", {"x": 1})

@@ -12,6 +12,7 @@ from repro.fabric import (
     FabricPlan,
     FabricSpec,
     fabric_model_seed,
+    load_fabric_spec,
     plan_fabric,
 )
 from repro.fabric.topology import TIER_ORDER
@@ -73,6 +74,20 @@ class TestFabricSpecValidation:
         clone = FabricSpec.from_dict(spec.to_dict())
         assert clone.to_dict() == spec.to_dict()
 
+    def test_spec_file_round_trip_and_bad_files(self, make_leaf_spec, tmp_path):
+        spec = make_leaf_spec()
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        assert load_fabric_spec(str(path)).to_dict() == spec.to_dict()
+        with pytest.raises(FabricError, match="no fabric spec"):
+            load_fabric_spec(str(tmp_path / "nope.json"))
+        path.write_text("{not json")
+        with pytest.raises(FabricError, match="not valid JSON"):
+            load_fabric_spec(str(path))
+        path.write_text("[]")
+        with pytest.raises(FabricError, match="expected a mapping"):
+            load_fabric_spec(str(path))
+
 
 @pytest.fixture(scope="module")
 def reference_plan(leaf_spec):
@@ -98,10 +113,6 @@ class TestPlanShape:
         for doc in placed.values():
             assert all(v >= 0 for v in doc["headroom"].values())
         assert reference_plan.traffic["worst"]["boundary"] == "server-leaf"
-
-    def test_device_entries_filter(self, reference_plan):
-        assert len(reference_plan.device_entries("leaf0")) == 1
-        assert len(reference_plan.device_entries()) == 2
 
 
 class TestPlanDeterminism:

@@ -5,15 +5,11 @@ import pytest
 
 from repro.errors import FabricError
 from repro.fabric import (
-    Demand,
     TierSpec,
     Topology,
-    TrafficMatrix,
     ingress_tier,
     leaf_for_server,
     server_for_ip,
-    tier_route_weights,
-    topology_dispatch,
 )
 from repro.netsim.packet import PROTO_TCP, Packet
 from repro.runtime import PacketFeatureExtractor
@@ -56,12 +52,6 @@ class TestIngressTier:
         ])
         assert ingress_tier(leaf_only, make_packet(src=0, dst=1)) == "leaf"
 
-    def test_dispatch_closure_matches_ingress_tier(self, pod):
-        dispatch = topology_dispatch(pod)
-        for src, dst in [(0, 2), (0, 1), (3, 5), (4, 6)]:
-            packet = make_packet(src=src, dst=dst)
-            assert dispatch(packet) == ingress_tier(pod, packet)
-
 
 class SizePipeline:
     def predict(self, X):
@@ -76,7 +66,7 @@ class TestRouterDispatchMode:
                                   batch_size=8)
         router = PipelineRouter(
             [Route("leaf", leaf), Route("spine", spine)],
-            dispatch=topology_dispatch(pod),
+            dispatch=lambda packet: ingress_tier(pod, packet),
         )
         return leaf, spine, router
 
@@ -122,20 +112,3 @@ class TestRouterDispatchMode:
         results = broadcast.process(packets)
         assert len(results["leaf"]) == 8
         assert len(results["spine"]) == 8
-
-
-class TestTierRouteWeights:
-    def test_weights_follow_boundary_load(self, pod):
-        traffic = TrafficMatrix([
-            Demand("bd", "server", "server", 24.0),   # 48G on server-leaf
-            Demand("tc", "server", "spine", 8.0),     # 8G everywhere
-        ])
-        weights = tier_route_weights(traffic, pod)
-        # leaf classifies 56G, spine 8G -> 7:1.
-        assert weights == {"leaf": 7, "spine": 1}
-
-    def test_unloaded_tier_gets_weight_one(self, pod):
-        traffic = TrafficMatrix([Demand("bd", "server", "server", 24.0)])
-        weights = tier_route_weights(traffic, pod)
-        assert weights["spine"] == 1
-        assert weights["leaf"] >= 1

@@ -1,11 +1,9 @@
 """Topology spec validation, deterministic expansion, wire format."""
 
-import json
-
 import pytest
 
 from repro.errors import BackendError, FabricError
-from repro.fabric import Device, Link, TierSpec, Topology, load_topology
+from repro.fabric import Device, Link, TierSpec, Topology
 
 
 class TestTierSpec:
@@ -109,22 +107,3 @@ class TestWireFormat:
         clone = Topology.from_dict(pod.to_dict())
         assert clone.to_dict() == pod.to_dict()
         assert clone.tier("leaf").resources == {"mats": 16}
-
-    def test_load_topology_json(self, tmp_path, make_pod):
-        path = tmp_path / "pod.json"
-        path.write_text(json.dumps(make_pod().to_dict()))
-        assert load_topology(str(path)).devices() == make_pod().devices()
-
-    def test_load_topology_missing_or_invalid(self, tmp_path):
-        with pytest.raises(FabricError, match="no topology spec"):
-            load_topology(str(tmp_path / "nope.json"))
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(FabricError, match="not valid JSON"):
-            load_topology(str(bad))
-
-    def test_load_topology_yaml(self, tmp_path, make_pod):
-        yaml = pytest.importorskip("yaml")
-        path = tmp_path / "pod.yaml"
-        path.write_text(yaml.safe_dump(make_pod().to_dict()))
-        assert load_topology(str(path)).devices() == make_pod().devices()

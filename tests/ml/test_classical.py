@@ -87,19 +87,6 @@ class TestKMeans:
         dists = ((X[:, None, :] - km.cluster_centers_[None]) ** 2).sum(-1)
         assert np.array_equal(labels, dists.argmin(axis=1))
 
-    def test_merge_clusters_reduces_count(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(0, 1, (100, 2))
-        km = KMeans(n_clusters=5, seed=0).fit(X)
-        coarse = km.merge_clusters(2)
-        assert coarse.cluster_centers_.shape[0] == 2
-
-    def test_merge_noop_when_target_ge_k(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(0, 1, (50, 2))
-        km = KMeans(n_clusters=3, seed=0).fit(X)
-        assert km.merge_clusters(5) is km
-
     def test_too_few_samples_raises(self):
         with pytest.raises(TrainingError):
             KMeans(n_clusters=10).fit(np.ones((3, 2)))

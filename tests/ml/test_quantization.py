@@ -17,7 +17,6 @@ from repro.ml.quantization import (
 class TestFixedPointFormat:
     def test_default_is_q7_8(self):
         assert str(DEFAULT_FORMAT) == "Q7.8"
-        assert DEFAULT_FORMAT.total_bits == 16
 
     def test_scale(self):
         fmt = FixedPointFormat(3, 4)

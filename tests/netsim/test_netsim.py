@@ -6,25 +6,22 @@ import pytest
 from repro.errors import DatasetError
 from repro.netsim import (
     Flow,
-    FlowTable,
     Packet,
     TrafficProfile,
     build_flowmarker,
     conversation_key,
     five_tuple,
     generate_flow,
-    generate_trace,
     interleave_flows,
     packet_features,
     partial_flowmarkers,
 )
-from repro.netsim.features import PACKET_FEATURE_NAMES, flow_packet_features
+from repro.netsim.features import PACKET_FEATURE_NAMES
 from repro.netsim.flowmarker import (
     FLOWLENS_SPEC,
     PAPER_SPEC,
     FlowMarkerSpec,
     average_marker,
-    fuse_bins,
 )
 
 
@@ -83,30 +80,9 @@ class TestFlow:
         assert flow.duration == 0.0
         assert flow.inter_arrival_times.size == 0
 
-    def test_total_bytes_and_mean_size(self):
-        flow = Flow([make_packet(size=100), make_packet(ts=1.0, size=300)])
-        assert flow.total_bytes == 400
-        assert flow.mean_size == 200.0
-
     def test_inter_arrival_times(self):
         flow = Flow([make_packet(ts=0.0), make_packet(ts=2.0), make_packet(ts=3.0)])
         assert np.allclose(flow.inter_arrival_times, [2.0, 1.0])
-
-
-class TestFlowTable:
-    def test_groups_by_five_tuple(self):
-        table = FlowTable()
-        table.observe(make_packet(ts=0.0))
-        table.observe(make_packet(ts=1.0))
-        table.observe(make_packet(ts=2.0, sport=9999))
-        assert len(table) == 2
-
-    def test_conversation_key_merges_directions(self):
-        table = FlowTable(key_fn=conversation_key)
-        table.observe(make_packet(ts=0.0, src=1, dst=2))
-        table.observe(make_packet(ts=1.0, src=2, dst=1))
-        assert len(table) == 1
-        assert len(table[(1, 2)]) == 2
 
 
 class TestTrafficProfile:
@@ -140,23 +116,6 @@ class TestTrafficProfile:
                                  flow_length_mean=10, port_range=(4000, 4010))
         flow = generate_flow(profile, seed=0)
         assert all(4000 <= p.dst_port <= 4010 for p in flow)
-
-    def test_generate_trace_mix(self):
-        a = TrafficProfile("a", size_mean=100, size_sigma=0.1, ipt_mean=1,
-                           ipt_sigma=0.1, flow_length_mean=5)
-        b = TrafficProfile("b", size_mean=800, size_sigma=0.1, ipt_mean=1,
-                           ipt_sigma=0.1, flow_length_mean=5)
-        flows = generate_trace([a, b], 50, seed=0, weights=[0.8, 0.2])
-        labels = [f.label for f in flows]
-        assert labels.count("a") > labels.count("b")
-
-    def test_generate_trace_validation(self):
-        a = TrafficProfile("a", size_mean=100, size_sigma=0.1, ipt_mean=1,
-                           ipt_sigma=0.1, flow_length_mean=5)
-        with pytest.raises(DatasetError):
-            generate_trace([a], 0)
-        with pytest.raises(DatasetError):
-            generate_trace([a], 5, weights=[0.5, 0.5])
 
 
 class TestInterleaveFlows:
@@ -194,10 +153,6 @@ class TestFeatures:
         a = packet_features(make_packet())
         b = packet_features(make_packet())
         assert a[6] == b[6]
-
-    def test_flow_matrix(self):
-        flow = Flow([make_packet(ts=float(i)) for i in range(5)])
-        assert flow_packet_features(flow).shape == (5, 7)
 
 
 class TestFlowMarker:
@@ -242,18 +197,6 @@ class TestFlowMarker:
         flow = Flow([make_packet(ts=float(i), size=100 + 64 * i) for i in range(5)])
         partials = list(partial_flowmarkers(flow))
         assert np.array_equal(partials[-1], build_flowmarker(flow))
-
-    def test_fuse_bins_preserves_mass(self):
-        marker = np.arange(10.0)
-        fused = fuse_bins(marker, 3)
-        assert fused.sum() == marker.sum()
-        assert fused.shape == (4,)
-
-    def test_fuse_factor_one_is_copy(self):
-        marker = np.arange(5.0)
-        fused = fuse_bins(marker, 1)
-        assert np.array_equal(fused, marker)
-        assert fused is not marker
 
     def test_average_marker(self):
         flows = [Flow([make_packet(ts=0.0), make_packet(ts=1.0)]) for _ in range(3)]

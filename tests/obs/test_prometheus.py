@@ -60,8 +60,8 @@ class TestRoundTrip:
         assert parsed == {("c_total", (("k", hostile),)): 3.0}
 
     def test_multiple_labels_sorted(self, registry):
-        registry.gauge("g", "help", labels=("b", "a")).labels(
-            b="2", a="1").set(9)
+        registry.counter("g", "help", labels=("b", "a")).labels(
+            b="2", a="1").inc(9)
         parsed = parse_prometheus(render_prometheus(registry.snapshot()))
         assert parsed == {("g", (("a", "1"), ("b", "2"))): 9.0}
 

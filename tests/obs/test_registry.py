@@ -28,13 +28,6 @@ class TestInstruments:
         with pytest.raises(HomunculusError):
             registry.counter("c_total").inc(-1)
 
-    def test_gauge_set_inc_dec(self, registry):
-        gauge = registry.gauge("g", "help")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert registry.snapshot()["g"]["samples"]["[]"] == 12
-
     def test_histogram_buckets_cumulative(self):
         hist = Histogram(low=1e-3, high=10.0, bins_per_decade=2)
         for value in (0.0001, 0.01, 0.02, 5.0, 1000.0):
@@ -58,7 +51,7 @@ class TestInstruments:
     def test_kind_mismatch_raises(self, registry):
         registry.counter("m", "help")
         with pytest.raises(HomunculusError):
-            registry.gauge("m", "help")
+            registry.histogram("m", "help")
 
     def test_labeled_series_are_independent(self, registry):
         family = registry.counter("hits_total", "help", labels=("route",))
@@ -84,13 +77,6 @@ class TestSnapshotMerge:
         assert hist_sample["count"] == 5
         assert hist_sample["sum"] == pytest.approx(2.5)
 
-    def test_gauges_last_writer_wins(self, registry):
-        other = MetricsRegistry()
-        registry.gauge("g").set(1)
-        other.gauge("g").set(7)
-        merged = merge_snapshots([registry.snapshot(), other.snapshot()])
-        assert merged["g"]["samples"]["[]"] == 7
-
     def test_disjoint_families_union(self, registry):
         other = MetricsRegistry()
         registry.counter("only_a_total").inc()
@@ -101,7 +87,7 @@ class TestSnapshotMerge:
     def test_kind_conflict_raises(self, registry):
         other = MetricsRegistry()
         registry.counter("m").inc()
-        other.gauge("m").set(1)
+        other.histogram("m").observe(1.0)
         with pytest.raises(HomunculusError):
             merge_snapshots([registry.snapshot(), other.snapshot()])
 
@@ -129,6 +115,4 @@ class TestNoOpMode:
         assert counter.labels(k="v") is counter
         counter.inc()
         counter.observe(1.0)
-        counter.set(2.0)
-        counter.dec()
         assert NULL_REGISTRY.snapshot() == {}

@@ -32,10 +32,6 @@ class TestVirtualClock:
 
         assert asyncio.run(scenario()) == 3600.0
 
-    def test_advance_rejects_negative(self):
-        with pytest.raises(HomunculusError):
-            VirtualClock().advance(-1.0)
-
 
 class TestReplay:
     def test_unpaced_yields_everything_in_order(self):

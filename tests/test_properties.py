@@ -20,7 +20,7 @@ from repro.ml.quantization import (
     quantize,
     quantize_to_int,
 )
-from repro.netsim.flowmarker import FlowMarkerSpec, build_flowmarker, fuse_bins
+from repro.netsim.flowmarker import FlowMarkerSpec, build_flowmarker
 from repro.netsim.flow import Flow
 from repro.netsim.packet import Packet
 
@@ -135,15 +135,6 @@ def test_encode_dimension_matches_space(space, seed):
     assert np.all(np.isfinite(X))
 
 
-@given(space=design_spaces())
-@settings(max_examples=40, deadline=None)
-def test_json_round_trip_preserves_sampling(space):
-    rebuilt = DesignSpace.from_json(space.to_json())
-    rng = np.random.default_rng(0)
-    for config in rebuilt.sample(rng, 5):
-        space.validate(config)
-
-
 # --------------------------------------------------------------------------- #
 # Metrics
 # --------------------------------------------------------------------------- #
@@ -209,12 +200,3 @@ def test_flowmarker_mass_conservation(flow):
     assert marker[: spec.pl_bins].sum() == len(flow)
     assert marker[spec.pl_bins :].sum() == max(0, len(flow) - 1)
     assert np.all(marker >= 0)
-
-
-@given(flow=simple_flows(), factor=st.integers(1, 8))
-@settings(max_examples=60, deadline=None)
-def test_fuse_bins_preserves_mass(flow, factor):
-    marker = build_flowmarker(flow)
-    fused = fuse_bins(marker, factor)
-    assert fused.sum() == pytest.approx(marker.sum())
-    assert fused.shape[0] == int(np.ceil(marker.shape[0] / factor))

@@ -48,16 +48,6 @@ def schedule_trees(draw, max_depth=3):
 
 @given(node=schedule_trees())
 @settings(max_examples=60, deadline=None)
-def test_schedule_dag_is_acyclic_with_one_node_per_model_instance(node):
-    import networkx as nx
-
-    graph = node.to_dag()
-    assert nx.is_directed_acyclic_graph(graph)
-    assert graph.number_of_nodes() == len(node.models())
-
-
-@given(node=schedule_trees())
-@settings(max_examples=60, deadline=None)
 def test_distinct_models_subset_of_models(node):
     models = node.models()
     distinct = node.distinct_models()

@@ -13,6 +13,7 @@ from repro.errors import HomunculusError
 from repro.eval.baselines import train_baseline_dnn
 from repro.datasets import load_botnet
 from repro.netsim.packet import Packet
+from repro.netsim.trace import interleave_flows
 from repro.runtime import (
     FlowmarkerTracker,
     PacketFeatureExtractor,
@@ -170,7 +171,7 @@ class TestStreamProcessor:
         processor = StreamProcessor(
             bd_pipeline, FlowmarkerTracker(max_conversations=512), batch_size=64
         )
-        predictions = processor.process_flows(flows, label_fn=flow_label)
+        predictions = processor.process(*interleave_flows(flows, flow_label))
         assert len(predictions) == sum(len(f) for f in flows)
         assert processor.stats.accuracy is not None
         assert processor.stats.accuracy > 0.7  # online per-packet accuracy
@@ -179,10 +180,10 @@ class TestStreamProcessor:
         flows = generate_botnet_flows(10, seed=5)
         tracker = FlowmarkerTracker(max_conversations=512)
         processor = StreamProcessor(bd_pipeline, tracker, batch_size=7)
-        batched = processor.process_flows(flows)
+        batched = processor.process(*interleave_flows(flows))
         tracker.reset()
         single = StreamProcessor(bd_pipeline, FlowmarkerTracker(max_conversations=512),
-                                 batch_size=1).process_flows(flows)
+                                 batch_size=1).process(*interleave_flows(flows))
         assert list(batched) == list(single)
 
     def test_pipeline_must_have_predict(self):

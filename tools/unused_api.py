@@ -4,13 +4,17 @@
 A definition is public when its name has no leading underscore: the
 top-level functions and classes of every module, and the methods
 (properties included) defined in the body of a top-level class.  It is
-*used* when its name appears as a whole word in ``src/`` outside its
-own definition, outside the other definitions of the same name and
-outside the package ``__init__`` re-exports (imports and ``__all__``),
-or anywhere in ``benchmarks/``, ``examples/``, ``perfbench/`` or
-``tools/``.  Tests do not count: an API that only its own tests call is
-still unused.  Names that stay on purpose are listed in
-:data:`ALLOWED`, each with the reason::
+*used* when code names it: an ``ast.Name``, an ``ast.Attribute`` or an
+imported name, in ``src/`` outside its own definition and outside the
+package ``__init__`` re-exports (imports and ``__all__``), or anywhere in
+``benchmarks/``, ``examples/``, ``perfbench/`` or ``tools/``.  Prose is
+not a use: docstrings, comments and other strings (``__all__`` entries
+included) never count.  Neither does a string annotation such as
+``"WallClock | VirtualClock | None"``: a name that only a quoted type
+hint mentions is never constructed or called.  An f-string's fields are
+code, so a call inside one counts.  Tests do not count either: an API
+that only its own tests call is still unused.  Names that stay on
+purpose are listed in :data:`ALLOWED`, each with the reason::
 
     python tools/unused_api.py            # list the unused names
     python tools/unused_api.py --check    # exit 1 on an unused name that
@@ -22,7 +26,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import re
 import sys
 from collections import Counter
 
@@ -33,34 +36,29 @@ CALLER_DIRS = ("benchmarks", "examples", "perfbench", "tools")
 
 #: Unused names that stay, keyed ``function``/``Class`` or ``Class.method``.
 ALLOWED = {
+    # Test infrastructure, or a reference that a test compares against.
     "_BaseTree.n_leaves": "the tree oracle tests compare it",
+    "quantize": "the fixed-point property tests check quantize_to_int's rounding through it",
     "quantization_error_bound": "bounds the quantize property tests",
     "FixedPointFormat.min_value": "bounds the quantize property tests",
     "FixedPointFormat.max_value": "bounds the quantize property tests",
     "TrainHistory.epochs_run": "the early-stopping test checks training with it",
+    "NeuralNetwork.get_weights": "the flat-training oracle test compares trained weights with it",
     "NeuralNetwork.set_weights": "the flat-training oracle test reloads weights with it",
+    "Layer.gradients": "the per-key optimizer oracle (tests/ml/optimizer_oracle.py) reads it",
+    "Dense.gradients": "the per-key optimizer oracle (tests/ml/optimizer_oracle.py) reads it",
+    "RangeEntry.matches": "the table-interpreter oracle test looks entries up with it",
+    "TaurusSimulator.stage_report":
+        "the stage-report tests check resources() and pipeline_cycles() against its rows",
+    "five_tuple": "the stream-oracle property test runs FlowmarkerTracker under it",
+    "VirtualClock": "test infrastructure: replay pacing runs on it deterministically",
     "register_backend": "a failure-injection test substitutes a fake backend",
     "load_report_dict": "the export round-trip test reads the bundle back",
     "reset_tracer": "test infrastructure: isolates the tracer between tests",
-    "Gauge.dec": "the registry tests check gauge arithmetic with it",
-    "_NullInstrument.dec": "a disabled gauge accepts what Gauge accepts",
-    # Owed to the roadmap's "delete the API nothing calls" item; each
-    # goes with the tests that check only it (counts in parentheses).
-    "generate_trace": "owed (2 tests)",
-    "fuse_bins": "owed (3 tests)",
-    "flow_packet_features": "owed (1 test)",
-    "Flow.total_bytes": "owed (1 test, shared with mean_size)",
-    "Flow.mean_size": "owed (1 test, shared with total_bytes)",
-    "TaurusSimulator.format_stage_report": "owed (1 test)",
-    "FabricPlan.device_entries": "owed (1 test)",
-    "DesignSpace.from_json": "owed (its spec round-trip tests)",
-    "train_test_split": "owed (6 tests)",
-    "MinMaxScaler": "owed (5 tests)",
-    "LabelEncoder": "owed (5 tests)",
-    "LabelEncoder.inverse_transform": "owed with LabelEncoder",
+    # The paper's declarative Alchemy API surface.
+    "IOMap": "paper Table 1: Alchemy's construct wiring model inputs and outputs",
+    "Platforms.FPGA": "paper Figure 3's platform factory; the FPGA is Table 5's testbed",
 }
-
-_WORD = re.compile(r"\w+")
 
 
 def _python_files(root: str):
@@ -72,62 +70,68 @@ def _python_files(root: str):
 
 
 def _definitions(tree: ast.Module):
-    """``(qualified name, bare name, first line, last line)`` per public def."""
+    """``(qualified name, bare name, node)`` per public definition."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds):
             continue
         if not node.name.startswith("_"):
-            yield node.name, node.name, node.lineno, node.end_lineno
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not member.name.startswith("_")):
-                    yield (f"{node.name}.{member.name}", member.name,
-                           member.lineno, member.end_lineno)
+                    yield f"{node.name}.{member.name}", member.name, member
 
 
-def _re_export_lines(tree: ast.Module) -> set:
-    """Lines of an ``__init__``'s imports and ``__all__``."""
-    lines = set()
+def _uses(node: ast.AST, skip: "set | None" = None) -> Counter:
+    """Names that ``node``'s code uses; ``skip`` holds nodes not to count."""
+    uses: Counter = Counter()
+    for sub in ast.walk(node):
+        if skip and sub in skip:
+            continue
+        if isinstance(sub, ast.Name):
+            uses[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            uses[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            uses.update(sub.name.split("."))
+    return uses
+
+
+def _re_exports(tree: ast.Module) -> set:
+    """Every node of an ``__init__``'s imports and ``__all__``."""
+    nodes = set()
     for node in tree.body:
         is_all = isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         if is_all or isinstance(node, (ast.Import, ast.ImportFrom)):
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+            nodes.update(ast.walk(node))
+    return nodes
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), filename=path)
 
 
 def scan(root: str = REPO_ROOT) -> dict:
     """Every unused public name under ``root/src/repro``, with its location."""
-    words: Counter = Counter()
+    uses: Counter = Counter()
     defs = []
     for path in _python_files(os.path.join(root, "src", "repro")):
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        tree = ast.parse("\n".join(lines), filename=path)
-        skip = (_re_export_lines(tree)
-                if os.path.basename(path) == "__init__.py" else set())
-        for number, line in enumerate(lines, 1):
-            if number not in skip:
-                words.update(_WORD.findall(line))
+        tree = _parse(path)
+        skip = _re_exports(tree) if os.path.basename(path) == "__init__.py" else None
+        uses += _uses(tree, skip)
         rel = os.path.relpath(path, root)
-        for qualname, name, first, last in _definitions(tree):
-            body = Counter(_WORD.findall("\n".join(lines[first - 1:last])))
-            defs.append((qualname, name, body[name], f"{rel}:{first}"))
-    # This file names every allowed entry; those are not uses.
-    this = os.path.join(root, "tools", os.path.basename(__file__))
+        for qualname, name, node in _definitions(tree):
+            own = _uses(node)[name]
+            defs.append((qualname, name, own, f"{rel}:{node.lineno}"))
     for directory in CALLER_DIRS:
         for path in _python_files(os.path.join(root, directory)):
-            if path != this:
-                with open(path, encoding="utf-8") as handle:
-                    words.update(_WORD.findall(handle.read()))
-    n_defs = Counter(name for _, name, _, _ in defs)
-    return {
-        qualname: where
-        for qualname, name, own, where in defs
-        if words[name] - own - (n_defs[name] - 1) <= 0
-    }
+            uses += _uses(_parse(path))
+    return {qualname: where for qualname, name, own, where in defs
+            if uses[name] - own <= 0}
 
 
 def check(root: str = REPO_ROOT, allowed: "dict | None" = None) -> list:
